@@ -11,7 +11,6 @@ from .ode import (
     make_basis,
     mobius_transfer,
     solve_ivp,
-    wronskian,
 )
 from .geometry import CarlesonSquare, phi, rho_p, stolz_contains
 from .functionals import (
@@ -76,5 +75,4 @@ __all__ = [
     "stolz_contains",
     "to_string",
     "weighted_area_integral",
-    "wronskian",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end: solve, zeros, norms, quotient, stoptime,
 verify <suite>, report.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed or a computation
+failed (ContinuationError, ZeroLocationError), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .expr import ExprError
 from .ode import ContinuationError, make_basis
 from .functionals import fp_norm, growth_norm
-from .schwarzian import quotient_from_coefficient
+from .schwarzian import quotient_from_coefficient, stopping_wprime_abs
 from .stopping import (
     build_g0,
     dump_distribution_csv,
@@ -28,7 +29,8 @@ from .stopping import (
     refine_generation,
     weak_lp_fit,
 )
-from .suites import SUITE_IDS, Scenario, ScenarioError, run_suite
+from .suites import (SUITE_IDS, Scenario, ScenarioError, _json_default,
+                     run_suite)
 from .zeros import ZeroLocationError, find_zeros
 
 
@@ -170,13 +172,8 @@ def cmd_quotient(scenario):
 
 
 def cmd_stoptime(scenario):
-    r_need = max(0.996, 1.0 - 1.4 * 2.0 ** (-scenario.max_generation))
-    q = quotient_from_coefficient(scenario.coefficient, r_max=r_need)
-
-    def wprime_abs(z):
-        f2 = q.basis.jet(2, z, 0)[0]
-        return np.inf if f2 == 0 else 1.0 / abs(f2) ** 2
-
+    wprime_abs = stopping_wprime_abs(scenario.coefficient,
+                                     scenario.max_generation)
     forest = build_g0(wprime_abs, scenario.c0, scenario.eps0,
                       scenario.max_generation)
     for _ in range(3):
@@ -206,9 +203,10 @@ def cmd_stoptime(scenario):
 
 def cmd_verify(scenario, suite_id):
     report = run_suite(suite_id, scenario)
+    text = report.to_json() + "\n"  # before open(): no empty report on error
     path = _out_path(scenario, f"report_{suite_id}.json")
     with open(path, "w") as fh:
-        fh.write(report.to_json() + "\n")
+        fh.write(text)
     for check in report.checks:
         status = ("PASS" if check.passed
                   else "DATA" if check.passed is None else "FAIL")
@@ -224,18 +222,18 @@ def cmd_report(scenario):
         report = run_suite(suite_id, scenario)
         combined[suite_id] = report.to_dict()
         ok = ok and report.ok
+    text = json.dumps(combined, sort_keys=True, indent=1,
+                      default=_json_default) + "\n"
     path = _out_path(scenario, "report.json")
     with open(path, "w") as fh:
-        json.dump(combined, fh, sort_keys=True, indent=1,
-                  default=_default_json)
-        fh.write("\n")
+        fh.write(text)
     print(path)
     return 0 if ok else 1
 
 
-def _default_json(obj):
-    from .suites import _json_default
-    return _json_default(obj)
+_COMMANDS = {"solve": cmd_solve, "zeros": cmd_zeros, "norms": cmd_norms,
+             "quotient": cmd_quotient, "stoptime": cmd_stoptime,
+             "verify": cmd_verify, "report": cmd_report}
 
 
 def main(argv=None):
@@ -246,28 +244,15 @@ def main(argv=None):
     except (UsageError, ScenarioError, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    extra = (args.suite,) if args.command == "verify" else ()
     try:
-        if args.command == "solve":
-            return cmd_solve(scenario)
-        if args.command == "zeros":
-            return cmd_zeros(scenario)
-        if args.command == "norms":
-            return cmd_norms(scenario)
-        if args.command == "quotient":
-            return cmd_quotient(scenario)
-        if args.command == "stoptime":
-            return cmd_stoptime(scenario)
-        if args.command == "verify":
-            return cmd_verify(scenario, args.suite)
-        if args.command == "report":
-            return cmd_report(scenario)
+        return _COMMANDS[args.command](scenario, *extra)
     except (ScenarioError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContinuationError, ZeroLocationError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
-    DEFAULT_DEGREE,
     MAX_DEGREE,
     TAIL_TOL,
     PowerSeries,
@@ -467,17 +466,6 @@ def taylor_at(node, center, degree, max_degree=MAX_DEGREE, tail_tol=TAIL_TOL):
         raise ValueError(f"degree {degree} exceeds configured maximum {max_degree}")
     coeffs = series_coefficients(node, center, degree + 1)
     return PowerSeries(complex(center), coeffs, estimate_trust_radius(coeffs, tail_tol=tail_tol))
-
-
-def taylor_auto(node, center, target_radius, degree=DEFAULT_DEGREE,
-                max_degree=MAX_DEGREE, tail_tol=TAIL_TOL):
-    """Like taylor_at, but doubles the degree until the trust radius covers
-    ``target_radius`` (or the degree cap is reached)."""
-    while True:
-        ps = taylor_at(node, center, degree, max_degree=max_degree, tail_tol=tail_tol)
-        if ps.trust_radius >= target_radius or degree >= max_degree:
-            return ps
-        degree = min(2 * degree, max_degree)
 
 
 def eval_array(node, zs):

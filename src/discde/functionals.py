@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import phi
+from .geometry import dyadic_edges, generation_squares, phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,15 +63,8 @@ class SupremumReport:
 
 
 def _circle_values(f, r, n):
-    thetas = TWO_PI * np.arange(n) / n
-    zs = r * np.exp(1j * thetas)
-    try:
-        values = np.asarray(f(zs), dtype=complex)
-        if values.shape != zs.shape:
-            raise TypeError
-        return values
-    except (TypeError, ValueError):
-        return np.array([complex(f(z)) for z in zs])
+    zs = r * np.exp(1j * (TWO_PI * np.arange(n) / n))
+    return np.asarray(f(zs), dtype=complex)
 
 
 def _adaptive_circle_mean(integrand_of_values, f, r, n_points, tol, max_points):
@@ -91,8 +84,9 @@ def _adaptive_circle_mean(integrand_of_values, f, r, n_points, tol, max_points):
 def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
     """(1/2pi) * integral of |f(r e^(i theta))|^p, composite trapezoid.
 
-    Periodic analytic integrands converge geometrically; points double until
-    the relative change drops below tol.
+    ``f`` is a vectorized evaluator: it maps an array of points to the array
+    of values.  Periodic analytic integrands converge geometrically; points
+    double until the relative change drops below tol.
     """
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
@@ -104,17 +98,14 @@ def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
 
 
 def nevanlinna_m(f, r, n_points=64, tol=1e-8, max_points=1 << 16):
-    """Proximity function m(r, f): circle mean of log+ |f|."""
+    """Proximity function m(r, f): circle mean of log+ |f|; ``f`` is a
+    vectorized evaluator, as for circle_mean."""
     if not 0 < r < 1:
         raise ValueError("radius must lie in (0, 1)")
     return _adaptive_circle_mean(
         lambda v: np.maximum(np.log(np.maximum(np.abs(v), 1e-300)), 0.0),
         f, r, n_points, tol, max_points,
     )
-
-
-def hardy_profile(f, radii, p, **kw):
-    return RadialProfile(list(radii), [circle_mean(f, r, p, **kw) for r in radii])
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +200,19 @@ def normality_sigma(f_jet, radii=None, n_theta=64, refine=False):
 # area quadrature
 
 
-def polar_quadrature(r_max=0.999, n_radial=64, n_theta=256, r_min=0.0):
+def polar_quadrature(r_max=0.999, n_radial=64, n_theta=256):
     """Nodes and weights for integrals over the disc against area measure.
 
     Gauss-Legendre radial nodes on dyadic annuli (integrands are smooth per
     annulus, singular only at the boundary) times a uniform trapezoid in the
     angle.  Returns (nodes, weights) with sum(w * g(z)) ~ integral g dm.
     """
+    edges = dyadic_edges(0.0, r_max)
     x, wx = np.polynomial.legendre.leggauss(n_radial)
-    edges = [r_min]
-    r = max(r_min, 0.5)
-    if r > r_min:
-        edges.append(0.5)
-    while 1 - (1 - edges[-1]) / 2 < r_max:
-        edges.append(1 - (1 - edges[-1]) / 2)
-    edges.append(r_max)
     thetas = TWO_PI * np.arange(n_theta) / n_theta
     e = np.exp(1j * thetas)
     nodes, weights = [], []
     for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
         rr = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         ww = 0.5 * (hi - lo) * wx * rr * (TWO_PI / n_theta)
         nodes.append((rr[:, None] * e[None, :]).ravel())
@@ -280,16 +263,49 @@ class NetSupReport:
         return float(self.value)
 
 
-def _net_sup(inner_value, a_net, coarse_factor=2):
-    """Max of an integral functional over a net, with a refinement delta
-    measured against a coarsened evaluation at the argmax."""
+def _weighted_quadrature(density, r_max, n_radial, n_theta):
+    """Memo coarsen -> (nodes, weights * density(nodes)) of the polar rule
+    with n_radial // coarsen radial and max(64, n_theta // coarsen) angular
+    nodes; the density is evaluated once per rule."""
+    memo = {}
+
+    def at(coarsen):
+        if coarsen not in memo:
+            nodes, weights = polar_quadrature(r_max, n_radial // coarsen,
+                                              max(64, n_theta // coarsen))
+            memo[coarsen] = nodes, weights * density(nodes)
+        return memo[coarsen]
+
+    return at
+
+
+def _net_sup(kernel, a_net, quadrature, coarse_factor=2):
+    """Max over a net of the integral of kernel(a, z) against a weighted
+    quadrature, with a refinement delta measured against a coarsened
+    evaluation at the argmax."""
+
+    def value(a, coarsen):
+        nodes, weighted = quadrature(coarsen)
+        return float(np.sum(weighted * kernel(a, nodes)))
+
     best, best_a = -np.inf, 0j
     for a in a_net:
-        v = inner_value(a, 1)
+        v = value(a, 1)
         if v > best:
             best, best_a = v, a
-    coarse = inner_value(best_a, coarse_factor)
+    coarse = value(best_a, coarse_factor)
     return NetSupReport(float(best), complex(best_a), float(abs(best - coarse)))
+
+
+def _automorphism_kernel(a, nodes):
+    """1 - |phi_a(z)|^2."""
+    return 1 - np.abs(phi(a, nodes)) ** 2 if a != 0 else 1 - np.abs(nodes) ** 2
+
+
+def _poisson_kernel(a, nodes):
+    """(1 - |a|^2) / |1 - conj(a) z|^2."""
+    a = complex(a)
+    return (1 - abs(a) ** 2) / np.abs(1 - a.conjugate() * nodes) ** 2
 
 
 def fp_norm(A, p, a_net=None, r_max=0.999, n_radial=64, n_theta=256):
@@ -300,21 +316,13 @@ def fp_norm(A, p, a_net=None, r_max=0.999, n_radial=64, n_theta=256):
     if p <= 0:
         raise ValueError("p must be positive")
     a_net = default_a_net(max_depth=4) if a_net is None else list(a_net)
-    cache = {}
 
-    def inner(a, coarsen):
-        key = coarsen
-        if key not in cache:
-            nodes, weights = polar_quadrature(r_max, n_radial // coarsen,
-                                              max(64, n_theta // coarsen))
-            base = (np.abs(np.asarray(A(nodes), dtype=complex)) ** p
-                    * (1 - np.abs(nodes) ** 2) ** (2 * p - 2))
-            cache[key] = (nodes, weights, base)
-        nodes, weights, base = cache[key]
-        kernel = 1 - np.abs(phi(a, nodes)) ** 2 if a != 0 else 1 - np.abs(nodes) ** 2
-        return float(np.sum(weights * base * kernel))
+    def density(nodes):
+        return (np.abs(np.asarray(A(nodes), dtype=complex)) ** p
+                * (1 - np.abs(nodes) ** 2) ** (2 * p - 2))
 
-    report = _net_sup(inner, a_net)
+    report = _net_sup(_automorphism_kernel, a_net,
+                      _weighted_quadrature(density, r_max, n_radial, n_theta))
     report.value = report.value ** (1.0 / p)
     return report
 
@@ -323,19 +331,12 @@ def carleson_embedding_constant(mu, a_net=None, r_max=0.999, n_radial=64,
                                 n_theta=256):
     """sup over the net of integral (1-|a|^2)/|1 - conj(a) z|^2 d(mu)."""
     a_net = default_a_net(max_depth=4) if a_net is None else list(a_net)
-    cache = {}
 
-    def inner(a, coarsen):
-        if coarsen not in cache:
-            nodes, weights = polar_quadrature(r_max, n_radial // coarsen,
-                                              max(64, n_theta // coarsen))
-            cache[coarsen] = (nodes, weights, np.asarray(mu(nodes), dtype=float))
-        nodes, weights, dens = cache[coarsen]
-        a = complex(a)
-        kernel = (1 - abs(a) ** 2) / np.abs(1 - a.conjugate() * nodes) ** 2
-        return float(np.sum(weights * dens * kernel))
+    def density(nodes):
+        return np.asarray(mu(nodes), dtype=float)
 
-    return _net_sup(inner, a_net)
+    return _net_sup(_poisson_kernel, a_net,
+                    _weighted_quadrature(density, r_max, n_radial, n_theta))
 
 
 def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
@@ -343,18 +344,13 @@ def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
     lo = square.inner_radius
     if lo >= r_max:
         return 0.0
+    edges = dyadic_edges(lo, r_max)
     x, wx = np.polynomial.legendre.leggauss(n_radial)
-    edges = [lo]
-    while 1 - (1 - edges[-1]) / 2 < r_max and len(edges) < 40:
-        edges.append(1 - (1 - edges[-1]) / 2)
-    edges.append(r_max)
     t_lo, t_hi = square.theta_lo, square.theta_hi
     thetas = t_lo + (t_hi - t_lo) * (np.arange(n_theta) + 0.5) / n_theta
     e = np.exp(1j * thetas)
     total = 0.0
     for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
         rr = 0.5 * (b - a) * x + 0.5 * (b + a)
         ww = 0.5 * (b - a) * wx * rr * ((t_hi - t_lo) / n_theta)
         nodes = (rr[:, None] * e[None, :]).ravel()
@@ -364,8 +360,6 @@ def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
 
 def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64):
     """max over dyadic squares (up to a generation cap) of mu(Q)/l(Q)."""
-    from .geometry import generation_squares
-
     best, best_sq = -np.inf, None
     for n in range(1, max_generation + 1):
         for sq in generation_squares(n):
@@ -379,22 +373,16 @@ def bmoa_seminorm(fprime, a_net=None, r_max=0.99, n_radial=48, n_theta=128):
     """Net-sup lower bound for the square root of
     sup_a integral |f'|^2 (1 - |phi_a(z)|^2) dm.
 
-    ``fprime`` is a vectorized (or scalar) evaluator of the derivative.
+    ``fprime`` is a vectorized evaluator of the derivative: it maps an array
+    of points to the array of values.
     """
     a_net = default_a_net(max_depth=3) if a_net is None else list(a_net)
-    nodes, weights = polar_quadrature(r_max, n_radial, n_theta)
-    try:
-        dv = np.asarray(fprime(nodes), dtype=complex)
-        if dv.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        dv = np.array([complex(fprime(z)) for z in nodes])
-    base = np.abs(dv) ** 2
 
-    def inner(a, coarsen):
-        kernel = 1 - np.abs(phi(a, nodes)) ** 2 if a != 0 else 1 - np.abs(nodes) ** 2
-        return float(np.sum(weights * base * kernel))
+    def density(nodes):
+        return np.abs(np.asarray(fprime(nodes), dtype=complex)) ** 2
 
-    report = _net_sup(inner, a_net, coarse_factor=1)
+    report = _net_sup(_automorphism_kernel, a_net,
+                      _weighted_quadrature(density, r_max, n_radial, n_theta),
+                      coarse_factor=1)
     report.value = math.sqrt(max(report.value, 0.0))
     return report

@@ -16,8 +16,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_MAX_GENERATION = 24
-
 
 def phi(a, z):
     """Disc automorphism phi_a(z) = (a - z)/(1 - conj(a) z); an involution."""
@@ -46,6 +44,19 @@ def lambda_threshold(s):
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
     return (0.9 + s) / (1.0 + 0.9 * s)
+
+
+def dyadic_edges(lo, r_max):
+    """Radii [lo, ..., r_max] stepping by halving the distance to the circle
+    (0, 1/2, 3/4, ... from lo = 0), so each annulus stays a fixed
+    hyperbolic width and work concentrates toward the boundary."""
+    if not 0 <= lo <= r_max < 1:
+        raise ValueError(f"need 0 <= lo <= r_max < 1, got {lo}, {r_max}")
+    edges = [lo]
+    while 1 - (1 - edges[-1]) / 2 < r_max:
+        edges.append(1 - (1 - edges[-1]) / 2)
+    edges.append(r_max)
+    return edges
 
 
 def stolz_contains(theta, alpha, z):
@@ -161,10 +172,3 @@ def generation_squares(n):
     """All squares of generation n, ordered by index."""
     return [CarlesonSquare(n, j) for j in range(1, 2 ** (n - 1) + 1)]
 
-
-def top_half_center(square):
-    return square.z_q
-
-
-def top_half(square):
-    return square.top_half_contains

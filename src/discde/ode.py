@@ -220,11 +220,6 @@ class _Combination:
     def __call__(self, z):
         return self.jet(z, 0)[0]
 
-    def jet3(self, z):
-        f, df = self.jet(z, 1)
-        a, da = expr.eval_jet(self.A, z, 1)
-        return [f, df, -a * f, -da * f - a * df]
-
 
 @dataclass
 class SolutionBasis:
@@ -271,14 +266,6 @@ def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
             raise ValueError("initial conditions give a degenerate (zero-Wronskian) pair")
     system = ContinuableSystem(A, list(ics), degree=degree, r_max=r_max)
     return SolutionBasis(A, _SolutionView(system, 0), _SolutionView(system, 1), target)
-
-
-def wronskian(basis, z):
-    return basis.wronskian(z)
-
-
-def evaluate_solution(basis, which, z, order=2):
-    return basis.jet(which, z, order)
 
 
 # ---------------------------------------------------------------------------

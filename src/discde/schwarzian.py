@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import rho_p, rho_p_to_set
+from .geometry import rho_p_to_set
 from .zeros import find_zeros
 
 TWO_PI = 2.0 * math.pi
@@ -34,14 +34,6 @@ def schwarzian(jet3):
         raise PoleError("Schwarzian undefined where w' vanishes")
     h = w2 / w1
     return w3 / w1 - 1.5 * h * h
-
-
-def pre_schwarzian(jet2):
-    """w''/w' from a jet of order >= 2."""
-    _, w1, w2 = jet2[0], jet2[1], jet2[2]
-    if w1 == 0:
-        raise PoleError("pre-Schwarzian undefined where w' vanishes")
-    return w2 / w1
 
 
 @dataclass
@@ -132,6 +124,21 @@ def quotient_from_coefficient(A, r_max=0.95, degree=None):
     basis = make_basis(A, ics=((0.0, 1.0), (1.0, 0.0)),
                        r_max=max(r_max, 0.97), **kwargs)
     return QuotientMap(basis, r_max=r_max)
+
+
+def stopping_wprime_abs(A, max_generation):
+    """|w'| = 1/|f2|^2 of the canonical quotient, continued deep enough to
+    reach z_Q of every dyadic square up to ``max_generation``; infinite at
+    the poles of w."""
+    # z_Q of a generation-n square sits at 1 - 1.5 * 2^(-n)
+    r_need = max(0.996, 1.0 - 1.4 * 2.0 ** (-max_generation))
+    q = quotient_from_coefficient(A, r_max=r_need)
+
+    def wprime_abs(z):
+        f2 = q.basis.jet(2, z, 0)[0]
+        return np.inf if f2 == 0 else 1.0 / abs(f2) ** 2
+
+    return wprime_abs
 
 
 # ---------------------------------------------------------------------------

@@ -135,16 +135,6 @@ class PowerSeries:
             acc = acc * u + c
         return acc
 
-    def evaluate_many(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        if np.any(np.abs(zs - self.center) > self.trust_radius * (1 + 1e-12)):
-            raise TrustRadiusError("evaluation outside trust radius")
-        u = zs - self.center
-        acc = np.zeros_like(u)
-        for c in self.coeffs[::-1]:
-            acc = acc * u + c
-        return acc
-
     def differentiate(self):
         if self.degree == 0:
             coeffs = np.zeros(1, dtype=complex)
@@ -158,23 +148,6 @@ class PowerSeries:
         n = min(len(self.coeffs), len(other.coeffs))
         coeffs = mul_trunc(self.coeffs, other.coeffs, n)
         return PowerSeries(self.center, coeffs, min(self.trust_radius, other.trust_radius))
-
-    def divide(self, other):
-        self._check_same_center(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        coeffs = div_trunc(self.coeffs, other.coeffs, n)
-        trust = min(self.trust_radius, other.trust_radius,
-                    estimate_trust_radius(coeffs))
-        return PowerSeries(self.center, coeffs, trust)
-
-    def add(self, other):
-        self._check_same_center(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        coeffs = self.coeffs[:n] + other.coeffs[:n]
-        return PowerSeries(self.center, coeffs, min(self.trust_radius, other.trust_radius))
-
-    def scale(self, c):
-        return PowerSeries(self.center, self.coeffs * complex(c), self.trust_radius)
 
     def recenter(self, new_center):
         """Taylor shift; the trust radius shrinks by the shift length."""

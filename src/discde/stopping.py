@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    DEFAULT_MAX_GENERATION,
-    CarlesonSquare,
-    generation_squares,
-    stolz_contains,
-)
+from .geometry import CarlesonSquare, generation_squares, stolz_contains
 
 TWO_PI = 2.0 * math.pi
 
@@ -285,18 +280,6 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
         "points": int(np.count_nonzero(keep)),
         "rms_residual": resid,
     }
-
-
-def distribution_bound(lam, c0, eps0):
-    """The one-sided tail bound 4 pi K L^(1/log2 M) / lambda^(1/log2 M)
-    with K from the two-point hyperbolic estimate at t = 1/2."""
-    from .schwarzian import defC_constant
-
-    big_l = c0 ** (1.0 + 1.0 / eps0)
-    big_m = c0 / eps0
-    expo = 1.0 / math.log2(big_m)
-    _, ek = defC_constant(0.5)
-    return 4 * math.pi * ek * big_l ** expo / lam ** expo
 
 
 # ---------------------------------------------------------------------------

@@ -25,18 +25,16 @@ from .functionals import (
     normality_sigma,
     weighted_area_integral,
 )
-from .zeros import ZeroSequence, find_zeros, jensen_check, separation_delta
+from .zeros import (divide_out_origin, find_zeros, jensen_check,
+                    separation_delta)
 from .schwarzian import (
-    LogBranch,
     bjest_check,
-    defC_constant,
     factorize,
-    pre_schwarzian_bound_check,
     quotient_from_coefficient,
     roth_critical_points,
     roth_map,
     roth_value_map,
-    schwarzian,
+    stopping_wprime_abs,
 )
 from .stopping import (
     build_g0,
@@ -144,6 +142,8 @@ class SuiteReport:
     environment: dict = field(default_factory=dict)
 
     def add(self, name, anchor, values, tolerance=None, passed=None):
+        # numpy bools are not False by identity, so coerce before is_failure
+        passed = None if passed is None else bool(passed)
         self.checks.append(Check(name, anchor, dict(values), tolerance, passed))
 
     @property
@@ -165,7 +165,7 @@ class SuiteReport:
 def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -198,6 +198,7 @@ def run_s1(scenario):
     report = SuiteReport("S1")
     a_eval = scenario.coefficient_eval()
     basis, f = _zero_bearing_solution(scenario)
+    f_jet = lambda z: f.jet(z, 1)
     f1norm = fp_norm(a_eval, 1.0)
     report.add(
         "coefficient-F1-norm",
@@ -205,7 +206,7 @@ def run_s1(scenario):
         "equals ||A||_{F^1}",
         {"f1_norm": f1norm.value, "argmax": complex(f1norm.argmax_a)},
     )
-    seq = find_zeros(lambda z: f.jet(z, 1), scenario.rmax, deflate_origin=True)
+    seq = find_zeros(f_jet, scenario.rmax, deflate_origin=True)
     zeros = list(seq.zeros)
     report.add(
         "zero-residuals",
@@ -243,9 +244,7 @@ def run_s1(scenario):
     if zeros:
         r_j = max(scenario.radii)
         shifted = [z for z in zeros if abs(z) < r_j and z != 0]
-        gap = jensen_check(
-            lambda z: _deflated_jet(f, z), shifted, r_j
-        )
+        gap = jensen_check(divide_out_origin(f_jet), shifted, r_j)
         report.add(
             "jensen-gap",
             "applying Jensen's formula to z -> z^{-1} g(z) accounts for "
@@ -279,13 +278,6 @@ def run_s1(scenario):
     report.environment = {"coefficient": scenario.coefficient,
                           "rmax": scenario.rmax}
     return report
-
-
-def _deflated_jet(f, z):
-    v, d = f.jet(z, 1)
-    if z == 0:
-        return f.jet(1e-7, 1)[0] / 1e-7, 0.0
-    return v / z, (d * z - v) / (z * z)
 
 
 def run_s2(scenario):
@@ -346,9 +338,8 @@ def run_s3(scenario):
         raise ScenarioError("S3 needs a zero-free normalized solution")
     f2 = lambda z: q.basis.jet(2, z, 1)
 
-    def dlog_f2(z):
-        v, d = f2(z)
-        return d / v
+    def dlog_f2(zs):
+        return np.array([d / v for v, d in map(f2, np.atleast_1d(zs))])
 
     bmoa = bmoa_seminorm(dlog_f2, r_max=min(scenario.rmax, 0.95))
     report.add(
@@ -357,10 +348,8 @@ def run_s3(scenario):
         {"seminorm": bmoa.value, "argmax": complex(bmoa.argmax_a)},
         passed=math.isfinite(bmoa.value),
     )
-    bloch = bloch_seminorm(
-        lambda zs: np.array([dlog_f2(z) for z in np.atleast_1d(zs)]),
-        radii=(0.0, 0.5, 0.75, 0.875, 0.9375), n_theta=64, refine=False,
-    )
+    bloch = bloch_seminorm(dlog_f2, radii=(0.0, 0.5, 0.75, 0.875, 0.9375),
+                           n_theta=64, refine=False)
     report.add(
         "log-f-bloch",
         "non-vanishing solutions satisfy log f in the Bloch space",
@@ -443,15 +432,8 @@ def run_s5(scenario):
     """Stopping-time generations for |w'| = |f2|^{-2}, their invariants,
     and the weak-L^p tail of the non-tangential maximal function of 1/w'."""
     report = SuiteReport("S5")
-    # z_Q of a generation-n square sits at 1 - 1.5 * 2^(-n); the basis must
-    # be continuable that deep
-    r_need = max(0.996, 1.0 - 1.4 * 2.0 ** (-scenario.max_generation))
-    q = quotient_from_coefficient(scenario.coefficient, r_max=r_need)
-
-    def wprime_abs(z):
-        f2 = q.basis.jet(2, z, 0)[0]
-        return np.inf if f2 == 0 else 1.0 / abs(f2) ** 2
-
+    wprime_abs = stopping_wprime_abs(scenario.coefficient,
+                                     scenario.max_generation)
     forest = build_g0(wprime_abs, scenario.c0, scenario.eps0,
                       scenario.max_generation)
     oracle = sorted(exhaustive_g0(wprime_abs, scenario.c0, scenario.eps0,

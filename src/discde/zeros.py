@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import rho_p
+from .geometry import dyadic_edges, rho_p
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,29 +26,12 @@ TWO_PI = 2.0 * math.pi
 _MAX_CLUSTER = 6
 _NEWTON_TOL = 1e-12
 _MAX_COUNT_POINTS = 1 << 15
+# Contour nudges off a zero or a non-finite value before a count gives up.
+_MAX_NUDGES = 16
 
 
 class ZeroLocationError(RuntimeError):
     """A zero failed certification or a count would not stabilize."""
-
-
-def _jet1(f, z):
-    v = f(z, 1) if _takes_order(f) else f(z)
-    return v
-
-
-_ORDER_CACHE = {}
-
-
-def _takes_order(f):
-    key = id(f)
-    if key not in _ORDER_CACHE:
-        try:
-            f(0.0, 1)
-            _ORDER_CACHE[key] = True
-        except TypeError:
-            _ORDER_CACHE[key] = False
-    return _ORDER_CACHE[key]
 
 
 def _values_on_circle(f_jet, center, r, n):
@@ -71,9 +54,15 @@ def count_zeros(f_jet, center, r, n_start=64, n_max=_MAX_COUNT_POINTS):
     """
     n = n_start
     prev = None
+    nudges = 0
     while n <= n_max:
         zs, vals, ders = _values_on_circle(f_jet, center, r, n)
         if np.any(vals == 0) or np.any(~np.isfinite(vals)):
+            nudges += 1
+            if nudges > _MAX_NUDGES:
+                raise ZeroLocationError(
+                    f"f vanishes or is not finite on |z - {center}| = {r}"
+                )
             r *= 1.0 + 1e-7  # nudge off an exact zero on the contour
             continue
         integrand = ders / vals * (zs - center)
@@ -185,8 +174,19 @@ class ZeroSequence:
     def __iter__(self):
         return iter(self.zeros)
 
-    def moduli(self):
-        return np.array([abs(z) for z in self.zeros])
+
+def divide_out_origin(f_jet):
+    """Jet of f(z)/z for f with a simple zero at the origin.
+
+    At the origin the jet is probed at z = 1e-7, where f(z)/z is f'(0) up
+    to |f''(0)| 1e-7 / 2; no higher-order jet of f is needed.
+    """
+    def deflated(z):
+        if z == 0:
+            z = 1e-7
+        v, d = f_jet(z)
+        return v / z, (d * z - v) / (z * z)
+    return deflated
 
 
 def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
@@ -205,26 +205,13 @@ def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
             raise ZeroLocationError("zero at the origin; normalize first")
         if d0 == 0:
             raise ZeroLocationError("multiple zero at the origin")
-
-        def deflated(z):
-            if z == 0:
-                # f = d0 z + f''(0)/2 z^2 + ...; the quadratic term needs a
-                # limit, taken by a tiny off-origin probe
-                z = 1e-7
-            v, d = f_jet(z)
-            return v / z, (d * z - v) / (z * z)
-
-        inner = find_zeros(deflated, r_max)
+        inner = find_zeros(divide_out_origin(f_jet), r_max)
         return ZeroSequence([0.0 + 0.0j] + inner.zeros, r_max,
                             [0.0] + inner.residuals)
     # annuli between dyadic radii keep per-region counts small near r = 1
-    edges = [0.0, 0.5]
-    while 1 - (1 - edges[-1]) / 2 < r_max:
-        edges.append(1 - (1 - edges[-1]) / 2)
-    edges.append(r_max)
+    edges = dyadic_edges(0.0, r_max)
     for lo, hi in zip(edges, edges[1:]):
-        if hi > lo:
-            _locate_in_annulus(f_jet, lo, hi, found)
+        _locate_in_annulus(f_jet, lo, hi, found)
     found.sort(key=abs)
     residuals = [abs(f_jet(z)[0]) for z in found]
     return ZeroSequence(found, r_max, residuals)
@@ -237,16 +224,6 @@ def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
 def blaschke_sum(points, alpha=1.0):
     """sum (1 - |z|^2)^alpha over the points."""
     return float(sum((1 - abs(z) ** 2) ** alpha for z in points))
-
-
-def transferred_blaschke_sup(make_zeros, kappas, alpha=1.0):
-    """sup over base points of the Blaschke-type sum of transferred zeros.
-
-    ``make_zeros(kappa)`` returns the zero list of the disc-automorphism
-    transfer anchored at kappa; returns (sup, per-kappa table).
-    """
-    table = [(kappa, blaschke_sum(make_zeros(kappa), alpha)) for kappa in kappas]
-    return max(v for _, v in table), table
 
 
 def separation_delta(points):

@@ -82,6 +82,21 @@ def test_polar_quadrature_area():
     assert weights.sum() == pytest.approx(math.pi * 0.999**2, abs=1e-10)
 
 
+def test_polar_quadrature_below_first_dyadic_radius():
+    # r_max < 1/2 must not fall back to the fixed 1/2 edge
+    nodes, weights = polar_quadrature(0.3)
+    assert weights.sum() == pytest.approx(math.pi * 0.09, abs=1e-12)
+    assert np.abs(nodes).max() <= 0.3
+
+
+def test_polar_quadrature_rejects_radius_outside_disc():
+    with pytest.raises(ValueError):
+        polar_quadrature(1.5)
+    with pytest.raises(ValueError):
+        weighted_area_integral(lambda z: np.ones_like(z), 2.0, 1.0,
+                               r_maxes=(1.5,))
+
+
 def test_polar_quadrature_moment():
     # integral of |z|^2 over the disc = pi/2
     nodes, weights = polar_quadrature(0.9999)

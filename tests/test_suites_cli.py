@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from discde.cli import main
@@ -55,6 +56,16 @@ def test_lint_rejects_missing_anchor():
         lint_report(report)
 
 
+def test_numpy_false_check_fails_report():
+    report = SuiteReport("S1")
+    report.add("numpy-bool", "a check built from numpy values",
+               {"flag": np.bool_(False)}, passed=np.float64(1.0) < 0.5)
+    assert report.ok is False
+    assert report.checks[0].passed is False
+    data = json.loads(report.to_json())
+    assert data["checks"][0]["values"]["flag"] is False
+
+
 def test_s1_trivial_coefficient():
     report = run_suite("S1", Scenario(coefficient="0"))
     assert report.ok
@@ -104,6 +115,15 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     assert "S6 critical-points: PASS" in out
     data = json.loads((tmp_path / "report_S6.json").read_text())
     assert data["ok"] is True
+
+
+def test_cli_verify_s2_writes_parseable_report(tmp_path):
+    code = main(["verify", "S2", "--coefficient", "1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "report_S2.json").read_text())
+    assert data["ok"] is True
+    assert all(c["passed"] is not False for c in data["checks"])
 
 
 def test_cli_zeros_count(tmp_path):

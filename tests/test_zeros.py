@@ -99,3 +99,15 @@ def test_a_point_separation_of_cosine():
     # cos(5z) = 0 and = 0.5 interlace; pooled points never collide
     assert overall > 0
     assert len(located[0.0]) > 0 and len(located[0.5]) > 0
+
+
+def test_find_zeros_respects_small_r_max():
+    seq = find_zeros(lambda z: (z - 0.4, 1.0), r_max=0.3)
+    assert list(seq.zeros) == []
+    assert [round(z.real, 12) for z in find_zeros(
+        lambda z: (z - 0.4, 1.0), r_max=0.45).zeros] == [0.4]
+
+
+def test_count_zeros_non_finite_values_raise():
+    with pytest.raises(ZeroLocationError):
+        count_zeros(lambda z: (math.nan, 1.0), 0.0, 0.5)
