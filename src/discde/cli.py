@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_atomic
 from .expr import ExprError
 from .ode import ContinuationError, make_basis
 from .functionals import fp_norm, growth_norm
@@ -99,31 +100,27 @@ def _emit(scenario, stem, rows, header):
     """Write rows as CSV or JSON according to the scenario format."""
     if scenario.fmt == "csv":
         path = _out_path(scenario, stem + ".csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        write_atomic(path, lambda fh: csv.writer(fh).writerows([header] + rows),
+                     newline="")
     else:
         path = _out_path(scenario, stem + ".json")
         payload = [dict(zip(header, row)) for row in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        write_atomic(path, lambda fh: json.dump(payload, fh, sort_keys=True,
+                                                indent=1))
     print(path)
     return path
 
 
 def cmd_solve(scenario):
     basis = make_basis(scenario.coefficient, r_max=max(scenario.rmax, 0.97))
-    rows = []
-    for r in scenario.radii:
-        for k in range(32):
-            z = r * complex(math.cos(2 * math.pi * k / 32),
-                            math.sin(2 * math.pi * k / 32))
-            v1, d1 = basis.jet(1, z, 1)
-            v2, d2 = basis.jet(2, z, 1)
-            rows.append([z.real, z.imag, v1.real, v1.imag, d1.real, d1.imag,
-                         v2.real, v2.imag, d2.real, d2.imag])
-    _emit(scenario, "solution", rows,
+    zs = np.array([r * complex(math.cos(2 * math.pi * k / 32),
+                               math.sin(2 * math.pi * k / 32))
+                   for r in scenario.radii for k in range(32)])
+    v1, d1 = basis.jet(1, zs, 1)
+    v2, d2 = basis.jet(2, zs, 1)
+    rows = np.column_stack([part for c in (zs, v1, d1, v2, d2)
+                            for part in (c.real, c.imag)])
+    _emit(scenario, "solution", rows.tolist(),
           ["re_z", "im_z", "re_f1", "im_f1", "re_df1", "im_df1",
            "re_f2", "im_f2", "re_df2", "im_df2"])
     return 0
@@ -203,10 +200,8 @@ def cmd_stoptime(scenario):
 
 def cmd_verify(scenario, suite_id):
     report = run_suite(suite_id, scenario)
-    text = report.to_json() + "\n"  # before open(): no empty report on error
     path = _out_path(scenario, f"report_{suite_id}.json")
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_atomic(path, lambda fh: fh.write(report.to_json() + "\n"))
     for check in report.checks:
         status = ("PASS" if check.passed
                   else "DATA" if check.passed is None else "FAIL")
@@ -222,11 +217,10 @@ def cmd_report(scenario):
         report = run_suite(suite_id, scenario)
         combined[suite_id] = report.to_dict()
         ok = ok and report.ok
-    text = json.dumps(combined, sort_keys=True, indent=1,
-                      default=_json_default) + "\n"
     path = _out_path(scenario, "report.json")
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_atomic(path, lambda fh: fh.write(
+        json.dumps(combined, sort_keys=True, indent=1,
+                   default=_json_default) + "\n"))
     print(path)
     return 0 if ok else 1
 

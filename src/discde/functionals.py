@@ -178,17 +178,15 @@ def bloch_seminorm(fprime, radii=None, n_theta=256, refine=True):
 def normality_sigma(f_jet, radii=None, n_theta=64, refine=False):
     """Spherical-derivative supremum sigma(f): sup (1-|z|^2)|f'|/(1+|f|^2).
 
-    ``f_jet`` maps a point to (f, f'); evaluated pointwise, so keep grids
-    moderate for continuation-backed solutions.
+    ``f_jet`` is a vectorized evaluator: it maps an array of points to the
+    pair of arrays (f, f'), as ``lambda zs: f.jet(zs, 1)`` does for a
+    solution f.
     """
     radii = default_sup_radii(depth=8) if radii is None else list(radii)
 
     def on_points(zs):
-        out = np.empty(len(zs))
-        for i, z in enumerate(zs):
-            v, dv = f_jet(z)
-            out[i] = (1 - abs(z) ** 2) * abs(dv) / (1 + abs(v) ** 2)
-        return out
+        v, dv = f_jet(zs)
+        return (1 - np.abs(zs) ** 2) * np.abs(dv) / (1 + np.abs(v) ** 2)
 
     best, best_z, per_radius = _grid_sup(on_points, radii, n_theta)
     if refine and abs(best_z) > 0:

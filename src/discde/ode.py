@@ -10,6 +10,11 @@ centers: the step map acting on (f, f') is then identical for both
 solutions, so the numerical Wronskian drifts multiplicatively (a relative
 truncation error per step) instead of being amplified by the ratio of the
 dominant to the recessive solution.
+
+Each expansion keeps one coefficient matrix for all solutions and their
+first two derivatives, so values and derivatives at a batch of points are
+one matrix product with the powers of z - center (Corliss & Chang, 1982);
+``jet`` evaluates a point or an array that way, and so does each step.
 """
 
 from __future__ import annotations
@@ -19,12 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .series import DEFAULT_DEGREE, PowerSeries, estimate_trust_radius
+from .series import (DEFAULT_DEGREE, PowerSeries, TrustRadiusError,
+                     estimate_trust_radius)
 
 DEFAULT_R_MAX = 0.999
 _COVER_FRAC = 0.75
 _STEP_FRAC = 0.5
 _MAX_STEPS = 500
+_MAX_ORDER = 2
+# Cells (points x (expansions + degree + 1)) of one evaluation block: the
+# temporaries of a batch grow with its points, not with points x degree.
+_BLOCK_CELLS = 1 << 16
 
 
 class ContinuationError(RuntimeError):
@@ -58,18 +68,31 @@ def solve_ivp(A, z0, f0, df0, degree=DEFAULT_DEGREE):
 
 
 class _Expansion:
-    """All solutions of the system expanded about one center, shared trust."""
+    """All solutions of the system expanded about one center, shared trust.
 
-    __slots__ = ("center", "trust_radius", "jets")
+    ``rows[i, k, n]`` is the n-th Taylor coefficient of the k-th derivative
+    of solution i, so f_i^(k)(z) = sum_n rows[i, k, n] (z - center)^n.
+    """
 
-    def __init__(self, center, trust_radius, coeff_arrays):
+    __slots__ = ("center", "trust_radius", "rows")
+
+    def __init__(self, center, trust_radius, coeffs):
         self.center = complex(center)
         self.trust_radius = trust_radius
-        self.jets = []
-        for c in coeff_arrays:
-            ps = PowerSeries(center, c, trust_radius)
-            d1 = ps.differentiate()
-            self.jets.append((ps, d1, d1.differentiate()))
+        n = coeffs.shape[1]
+        self.rows = np.zeros((len(coeffs), _MAX_ORDER + 1, n), dtype=complex)
+        self.rows[:, 0] = coeffs
+        for d in range(1, _MAX_ORDER + 1):
+            self.rows[:, d, :-1] = self.rows[:, d - 1, 1:] * np.arange(1, n)
+
+    def jet(self, zs, order, index=slice(None)):
+        """Derivatives 0..order at the 1-d array zs: shape (order + 1, len(zs))
+        for one solution ``index``, (solutions, order + 1, len(zs)) for all."""
+        powers = np.empty((self.rows.shape[-1], len(zs)), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = zs - self.center
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        return self.rows[index, :order + 1] @ powers
 
 
 class ContinuableSystem:
@@ -77,40 +100,44 @@ class ContinuableSystem:
 
     def __init__(self, A, ics, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
         self.A = expr.parse_expr(A) if isinstance(A, str) else A
-        self.ics = [(complex(f0), complex(df0)) for f0, df0 in ics]
         self.degree = degree
         self.r_max = r_max
         self._expansions = []
         self._centers = np.zeros(0, dtype=complex)
         self._trusts = np.zeros(0, dtype=float)
-        self._expand_at(0.0, self.ics)
+        self._expand_at(0.0, ics)
 
     def _expand_at(self, center, local_ics):
-        a_ps = expr.taylor_at(self.A, center, self.degree)
-        arrays = [_recurrence(a_ps.coeffs, f0, df0, self.degree)
-                  for f0, df0 in local_ics]
-        trust = min([a_ps.trust_radius] + [estimate_trust_radius(c) for c in arrays])
+        # overflow near a pole of A yields a NaN trust, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                a_ps = expr.taylor_at(self.A, center, self.degree)
+            except TrustRadiusError as exc:
+                raise ContinuationError(
+                    f"trust radius collapsed at {center} (singularity of A?)"
+                ) from exc
+            coeffs = np.array([_recurrence(a_ps.coeffs, f0, df0, self.degree)
+                               for f0, df0 in local_ics])
+            trust = min([a_ps.trust_radius]
+                        + [estimate_trust_radius(c) for c in coeffs])
         if not trust > 0:
             raise ContinuationError(f"trust radius collapsed at {center}")
-        e = _Expansion(center, trust, arrays)
+        e = _Expansion(center, trust, coeffs)
         self._expansions.append(e)
         self._centers = np.append(self._centers, e.center)
         self._trusts = np.append(self._trusts, e.trust_radius)
         return e
 
-    def _covering(self, z, frac=_COVER_FRAC):
-        d = np.abs(z - self._centers)
-        ok = d <= frac * self._trusts
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        best = idx[np.argmin(d[idx] / self._trusts[idx])]
-        return self._expansions[best]
+    def _cover(self, zs, frac=_COVER_FRAC):
+        """Per point of zs, the expansion with the smallest |z - c|/trust, and
+        whether that ratio is at most frac (the point is then covered)."""
+        ratio = np.abs(zs[:, None] - self._centers) / self._trusts
+        return ratio.argmin(axis=1), ratio.min(axis=1) <= frac
 
     def _continue_to(self, z):
         cur = self._expansions[0]
         steps = 0
-        while abs(z - cur.center) > _COVER_FRAC * cur.trust_radius:
+        while abs(z - cur.center) / cur.trust_radius > _COVER_FRAC:
             steps += 1
             if steps > _MAX_STEPS:
                 raise ContinuationError(
@@ -120,119 +147,94 @@ class ContinuableSystem:
             dist = abs(z - cur.center)
             step = min(_STEP_FRAC * cur.trust_radius, dist)
             new_center = cur.center + step * (z - cur.center) / dist
-            cached = self._covering(new_center, frac=_STEP_FRAC)
-            if cached is not None and abs(z - cached.center) < dist:
-                cur = cached
+            at = np.array([new_center])
+            (cached,), (found,) = self._cover(at, frac=_STEP_FRAC)
+            if found and abs(z - self._expansions[cached].center) < dist:
+                cur = self._expansions[cached]
                 continue
-            ics = [(ps.evaluate(new_center), d1.evaluate(new_center))
-                   for ps, d1, _ in cur.jets]
-            cur = self._expand_at(new_center, ics)
-        return cur
+            cur = self._expand_at(new_center, cur.jet(at, 1)[:, :, 0])
+
+    def _jet_block(self, index, zs, order):
+        best, covered = self._cover(zs)
+        if not covered.all():
+            # continue in array order, re-checking the cover as it grows
+            for i in np.flatnonzero(~covered):
+                if not self._cover(zs[i:i + 1])[1][0]:
+                    self._continue_to(complex(zs[i]))
+            best, _ = self._cover(zs)
+        if len(zs) == 1 or (best == best[0]).all():
+            return self._expansions[best[0]].jet(zs, order, index)
+        out = np.empty((order + 1, len(zs)), dtype=complex)
+        for e in np.unique(best):
+            sel = best == e
+            out[:, sel] = self._expansions[e].jet(zs[sel], order, index)
+        return out
 
     def jet(self, index, z, order=2):
-        z = complex(z)
-        if order < 0 or order > 2:
+        """Values and derivatives 0..order of solution ``index`` at z.
+
+        A point gives a list of complex numbers, an array of points one
+        array of its shape per order.  Points that no expansion covers are continued
+        to in array order, so an array creates the same expansions as its
+        points taken one at a time.
+        """
+        if order < 0 or order > _MAX_ORDER:
             raise ValueError("order must be in [0, 2]")
-        if abs(z) > self.r_max * (1 + 1e-12):
-            raise ContinuationError(f"|z|={abs(z)} exceeds r_max={self.r_max}")
-        cur = self._covering(z)
-        if cur is None:
-            cur = self._continue_to(z)
-        return [cur.jets[index][k].evaluate(z) for k in range(order + 1)]
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
+        r = np.abs(flat).max(initial=0.0)
+        if not r <= self.r_max * (1 + 1e-12):
+            raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
+        out = np.empty((order + 1, flat.size), dtype=complex)
+        step = max(1, _BLOCK_CELLS // (len(self._expansions) + self.degree + 1))
+        for i in range(0, flat.size, step):
+            out[:, i:i + step] = self._jet_block(index, flat[i:i + step], order)
+        if zs.ndim:
+            return list(out.reshape((order + 1,) + zs.shape))
+        return out[:, 0].tolist()
 
 
-class _SolutionView:
-    """One solution of a shared system, evaluable with derivatives."""
+class ContinuableSolution:
+    """A solution of f'' + A f = 0: ``ContinuableSolution(A, f0, df0)``
+    continues f(0) = f0, f'(0) = df0 on a system of its own; a basis hands out
+    f1, f2 and alpha*f1 + beta*f2 as handles on its shared system."""
 
-    def __init__(self, system, index):
-        self._system = system
-        self._index = index
+    def __init__(self, A, f0, df0, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
+        self._system = ContinuableSystem(A, [(f0, df0)], degree, r_max)
+        self._terms = ((0, 1.0),)
 
-    @property
-    def A(self):
-        return self._system.A
-
-    @property
-    def f0(self):
-        return self._system.ics[self._index][0]
-
-    @property
-    def df0(self):
-        return self._system.ics[self._index][1]
-
-    @property
-    def r_max(self):
-        return self._system.r_max
-
-    @property
-    def degree(self):
-        return self._system.degree
+    @classmethod
+    def _on(cls, system, terms):
+        """The handle of the sum of weight * solution over (index, weight)."""
+        handle = cls.__new__(cls)
+        handle._system = system
+        handle._terms = tuple(terms)
+        return handle
 
     def jet(self, z, order=2):
-        return self._system.jet(self._index, z, order)
+        """Derivatives 0..order at a point or an ndarray, as the system's jet."""
+        jets = [(w, self._system.jet(i, z, order)) for i, w in self._terms]
+        if len(jets) == 1 and jets[0][0] == 1:
+            return jets[0][1]
+        return [sum(w * j[k] for w, j in jets) for k in range(order + 1)]
 
     def __call__(self, z):
-        return self._system.jet(self._index, z, 0)[0]
+        return self.jet(z, 0)[0]
 
     def jet3(self, z):
         """Order-3 jet; f'' and f''' recovered from the equation itself."""
         f, df = self.jet(z, 1)
-        a, da = expr.eval_jet(self.A, z, 1)
+        a, da = expr.eval_jet(self._system.A, z, 1)
         return [f, df, -a * f, -da * f - a * df]
-
-
-class ContinuableSolution(_SolutionView):
-    """Standalone solution handle with its own continuation cache."""
-
-    def __init__(self, A, f0, df0, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
-        super().__init__(ContinuableSystem(A, [(f0, df0)], degree, r_max), 0)
-
-
-class _Combination:
-    """alpha*f1 + beta*f2 evaluated by linearity on the shared system."""
-
-    def __init__(self, basis, alpha, beta):
-        self.basis = basis
-        self.alpha = complex(alpha)
-        self.beta = complex(beta)
-
-    @property
-    def A(self):
-        return self.basis.coefficient
-
-    @property
-    def f0(self):
-        return self.alpha * self.basis.f1.f0 + self.beta * self.basis.f2.f0
-
-    @property
-    def df0(self):
-        return self.alpha * self.basis.f1.df0 + self.beta * self.basis.f2.df0
-
-    @property
-    def r_max(self):
-        return self.basis.r_max
-
-    def jet(self, z, order=2):
-        j1 = self.basis.f1.jet(z, order)
-        j2 = self.basis.f2.jet(z, order)
-        return [self.alpha * a + self.beta * b for a, b in zip(j1, j2)]
-
-    def __call__(self, z):
-        return self.jet(z, 0)[0]
 
 
 @dataclass
 class SolutionBasis:
     """Fundamental pair (f1, f2) with a pinned constant Wronskian."""
 
-    coefficient: expr.ExprAst
-    f1: _SolutionView
-    f2: _SolutionView
+    f1: ContinuableSolution
+    f2: ContinuableSolution
     wronskian_target: complex
-
-    @property
-    def r_max(self):
-        return self.f1.r_max
 
     def jet(self, which, z, order=2):
         if which in ("f1", 1):
@@ -248,7 +250,8 @@ class SolutionBasis:
 
     def solution(self, alpha, beta):
         """The solution alpha*f1 + beta*f2 (shares the continuation cache)."""
-        return _Combination(self, alpha, beta)
+        return ContinuableSolution._on(
+            self.f1._system, ((0, complex(alpha)), (1, complex(beta))))
 
 
 def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
@@ -265,7 +268,8 @@ def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
         if target == 0:
             raise ValueError("initial conditions give a degenerate (zero-Wronskian) pair")
     system = ContinuableSystem(A, list(ics), degree=degree, r_max=r_max)
-    return SolutionBasis(A, _SolutionView(system, 0), _SolutionView(system, 1), target)
+    return SolutionBasis(ContinuableSolution._on(system, ((0, 1.0),)),
+                         ContinuableSolution._on(system, ((1, 1.0),)), target)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +302,7 @@ class MobiusTransferred:
         self.kappa = kappa
         self.A = A = expr.parse_expr(A) if isinstance(A, str) else A
         phi, den = _phi_ast(kappa)
-        self.phi_ast = phi
         d = abs(kappa) ** 2 - 1.0
-        self.dphi_ast = expr.BinOp("/", expr.Const(d), expr.Pow(den, 2))
         dphi_sq = expr.BinOp("/", expr.Const(d * d), expr.Pow(den, 4))
         self.B = expr.BinOp("*", expr.substitute(A, phi), dphi_sq)
 

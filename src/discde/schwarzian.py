@@ -55,29 +55,22 @@ class QuotientMap:
             raise ValueError("quotient construction requires Wronskian -1")
         seq = find_zeros(lambda z: self.basis.jet(2, z, 1), self.r_max)
         self.poles = list(seq.zeros)
-        self.exclusion_radii = []
-        for p in self.poles:
-            _, d1, d2 = self.basis.jet(2, p, 2)
-            basin = abs(d1) / max(abs(d2), 1e-30)
-            self.exclusion_radii.append(min(0.05, 2.0 * min(basin, 1e-3)))
+        _, d1, d2 = self.basis.jet(2, np.array(self.poles, dtype=complex), 2)
+        basin = np.abs(d1) / np.maximum(np.abs(d2), 1e-30)
+        self.exclusion_radii = np.minimum(0.05, 2.0 * np.minimum(basin, 1e-3)).tolist()
 
     def near_pole(self, z):
         return any(
             abs(z - p) <= r for p, r in zip(self.poles, self.exclusion_radii)
         )
 
-    def _pair_jets(self, z, order):
-        j1 = self.basis.jet(1, z, order)
-        j2 = self.basis.jet(2, z, order)
-        return j1, j2
-
     def __call__(self, z):
         if self.near_pole(z):
             raise PoleError(f"w has a pole near {z}")
-        j1, j2 = self._pair_jets(z, 0)
-        if j2[0] == 0:
+        f2 = self.basis.jet(2, z, 0)[0]
+        if f2 == 0:
             raise PoleError(f"w has a pole at {z}")
-        return j1[0] / j2[0]
+        return self.basis.jet(1, z, 0)[0] / f2
 
     def wprime(self, z):
         """w'(z) = 1/f2(z)^2, analytic across the poles of w."""
@@ -98,12 +91,12 @@ class QuotientMap:
         return -2.0 * d2 / f2
 
     def jet3(self, z):
-        """(w, w', w'', w''') from order-2 jets of the pair and f2'' = -A f2."""
-        j1, j2 = self._pair_jets(z, 2)
-        f2, d2, dd2 = j2
+        """(w, w', w'', w''') from f1 and the order-2 jet of f2."""
+        f1 = self.basis.jet(1, z, 0)[0]
+        f2, d2, dd2 = self.basis.jet(2, z, 2)
         if f2 == 0:
             raise PoleError(f"pole of w at {z}")
-        w = j1[0] / f2
+        w = f1 / f2
         w1 = 1.0 / (f2 * f2)
         h = -2.0 * d2 / f2
         hp = -2.0 * dd2 / f2 + 2.0 * (d2 / f2) ** 2

@@ -26,7 +26,7 @@ MAX_DEGREE = 512
 
 
 class TrustRadiusError(ValueError):
-    """Evaluation or recentering outside the certified radius."""
+    """A non-positive trust radius, or evaluation or recentering beyond it."""
 
 
 def estimate_trust_radius(coeffs, tail_tol=TAIL_TOL, safety=TRUST_SAFETY):
@@ -107,7 +107,7 @@ class PowerSeries:
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
         if not self.trust_radius > 0:
-            raise ValueError("trust_radius must be positive")
+            raise TrustRadiusError("trust_radius must be positive")
 
     @classmethod
     def from_coeffs(cls, coeffs, center=0.0, exact=False):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import write_atomic
 from .geometry import CarlesonSquare, generation_squares, stolz_contains
 
 TWO_PI = 2.0 * math.pi
@@ -287,9 +288,11 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
 
 
 def dump_forest_jsonl(forest, path):
-    with open(path, "w") as fh:
+    def write(fh):
         for node in forest.all_nodes():
             fh.write(json.dumps(node.to_record(), sort_keys=True) + "\n")
+
+    write_atomic(path, write)
 
 
 def dump_distribution_csv(samples, path, points_per_decade=64, decades=2.0):
@@ -299,8 +302,6 @@ def dump_distribution_csv(samples, path, points_per_decade=64, decades=2.0):
     lambdas = np.geomspace(top / 10.0 ** decades, top * (1 - 1e-12),
                            int(points_per_decade * decades))
     measure = distribution_function(samples, lambdas)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "measure"])
-        for lam, m in zip(lambdas, measure):
-            writer.writerow([f"{lam!r}", f"{m!r}"])
+    rows = [["lambda", "measure"]] + [[f"{lam!r}", f"{m!r}"]
+                                      for lam, m in zip(lambdas, measure)]
+    write_atomic(path, lambda fh: csv.writer(fh).writerows(rows), newline="")

@@ -37,12 +37,9 @@ class ZeroLocationError(RuntimeError):
 def _values_on_circle(f_jet, center, r, n):
     """(f, f') on n equispaced points of the circle |z - center| = r."""
     zs = center + r * np.exp(1j * TWO_PI * np.arange(n) / n)
-    vals = np.empty(n, dtype=complex)
-    ders = np.empty(n, dtype=complex)
+    vals, ders = np.empty((2, n), dtype=complex)
     for i, z in enumerate(zs):
-        v, d = f_jet(z)
-        vals[i] = v
-        ders[i] = d
+        vals[i], ders[i] = f_jet(z)
     return zs, vals, ders
 
 
@@ -157,7 +154,7 @@ def _locate_in_annulus(f_jet, r_lo, r_hi, found, depth=0):
                 raise ZeroLocationError(
                     f"candidate zero near {cand} failed winding certification"
                 )
-        found.append(zero)
+        found.append(complex(zero))
 
 
 @dataclass
@@ -190,7 +187,8 @@ def divide_out_origin(f_jet):
 
 
 def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
-    """All zeros of f in |z| < r_max; f_jet(z) returns (f(z), f'(z)).
+    """All zeros of f in |z| < r_max, as Python complex numbers; the
+    pointwise ``f_jet(z)`` returns (f(z), f'(z)) at one point z.
 
     Every zero is certified by a unit winding number on a small circle and
     the function residual |f(zero)| is recorded.  A simple zero at the

@@ -1,7 +1,11 @@
-"""Source hygiene: no unused module-level imports in the package, and every
-name the package exports resolves."""
+"""Source hygiene: no unused module-level imports in the package, every
+name the package exports resolves, and every function and method the
+benchmark tracer (perfbench/tracer.py) wraps still exists to be wrapped."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import discde
@@ -43,3 +47,52 @@ def test_no_unused_module_level_imports():
 def test_exports_resolve():
     missing = [name for name in discde.__all__ if not hasattr(discde, name)]
     assert missing == []
+
+
+def _bindings():
+    """Every module-level and class-level binding of the loaded package."""
+    found = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "discde"
+                               or mod_name.startswith("discde.")):
+            continue
+        for name, obj in vars(mod).items():
+            found[(mod_name, name)] = obj
+            if isinstance(obj, type) and obj.__module__ == mod_name:
+                for attr, member in vars(obj).items():
+                    found[(mod_name, name, attr)] = member
+    return found
+
+
+def test_tracer_patch_sites_resolve():
+    """perfbench/tracer.py patches discde from outside; every name it
+    traces must still bind somewhere, and restore() must undo it all."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    for name in ("cli", "expr", "functionals", "geometry", "ode",
+                 "schwarzian", "series", "stopping", "suites", "zeros"):
+        importlib.import_module(f"discde.{name}")
+    requested = []
+
+    class Recording(tracer_mod.Tracer):
+        def patch_function(self, module, attr, name, coarse, **opts):
+            requested.append(name)
+            super().patch_function(module, attr, name, coarse, **opts)
+
+        def patch_method(self, cls, attr, name, coarse, **opts):
+            requested.append(name)
+            super().patch_method(cls, attr, name, coarse, **opts)
+
+    before = _bindings()
+    tracer = Recording()
+    try:
+        tracer_mod.install(tracer)
+        unpatched = [n for n in requested if not tracer.patched_sites.get(n)]
+    finally:
+        tracer.restore()
+    assert requested and unpatched == []
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []

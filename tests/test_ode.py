@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discde import expr
 from discde.ode import (
     ContinuableSolution,
+    ContinuableSystem,
+    ContinuationError,
     make_basis,
     mobius_transfer,
     solve_ivp,
@@ -105,3 +108,64 @@ def test_transferred_solution_satisfies_pulled_back_equation():
 def test_degenerate_ics_rejected():
     with pytest.raises(ValueError):
         make_basis("1", ics=((1.0, 2.0), (2.0, 4.0)))
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: one jet for a point or an array
+
+
+BATCH_CASES = [
+    # (coefficient, closed forms of the order-2 jets of f1 and f2 or None)
+    ("25", lambda z: ([np.cos(5 * z), -5 * np.sin(5 * z), -25 * np.cos(5 * z)],
+                      [np.sin(5 * z) / 5, np.cos(5 * z), -5 * np.sin(5 * z)])),
+    ("0.5/(1-z)", None),
+    ("2/(1-(0.7316+0.6061*i)*z)^2", None),  # |u| = 0.95: pole near the disc
+]
+
+
+def _assert_jets_close(got, want, rtol):
+    got, want = np.asarray(got), np.asarray(want)
+    for k in range(got.shape[0]):  # per derivative order
+        floor = rtol * max(1.0, np.max(np.abs(want[k]), initial=0.0))
+        np.testing.assert_allclose(got[k], want[k], rtol=rtol, atol=floor)
+
+
+@pytest.mark.parametrize("coeff, closed", BATCH_CASES)
+@given(st.lists(st.complex_numbers(max_magnitude=0.97, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=40))
+@settings(max_examples=12, deadline=None)
+def test_array_jet_matches_pointwise(coeff, closed, points):
+    zs = np.array(points, dtype=complex)
+    batched = ContinuableSystem(coeff, [(1, 0), (0, 1)], r_max=0.97)
+    pointwise = ContinuableSystem(coeff, [(1, 0), (0, 1)], r_max=0.97)
+    for i in (0, 1):
+        got = batched.jet(i, zs, 2)
+        assert len(got) == 3 and all(g.shape == zs.shape for g in got)
+        want = np.array([pointwise.jet(i, z, 2) for z in points]).T
+        _assert_jets_close(got, want, 1e-12)
+        if closed is not None:
+            _assert_jets_close(got, closed(zs)[i], 1e-10)
+    # the array continued its uncovered points in order: same expansions
+    assert ([e.center for e in batched._expansions]
+            == [e.center for e in pointwise._expansions])
+
+
+def test_jet_point_returns_scalars_and_array_keeps_shape():
+    basis = make_basis("25")
+    v, d = basis.jet(1, 0.3 + 0.1j, 1)
+    assert type(v) is complex and type(d) is complex
+    grid = np.full((2, 3), 0.3 + 0.1j)
+    values = basis.solution(1.0, 2.0).jet(grid, 2)
+    assert [a.shape for a in values] == [(2, 3)] * 3
+    assert basis.jet(2, np.zeros(0), 1)[0].shape == (0,)
+    v3 = basis.f2.jet3(0.3 + 0.1j)
+    assert abs(values[0][0, 0] - (v + 2.0 * v3[0])) < 1e-12
+
+
+def test_pole_inside_disc_is_a_continuation_error():
+    # the continuation to 0.6 runs into the pole at 0.5, where the Taylor
+    # coefficients of A overflow
+    basis = make_basis("1/(z-0.5)")
+    with pytest.raises(ContinuationError):
+        basis.f1.jet(0.6, 1)

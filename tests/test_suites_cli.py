@@ -152,3 +152,83 @@ def test_cli_solve(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "solution.json").read_text())
     assert len(data) == 96
+
+
+@pytest.mark.parametrize("suite", ["S1", "S2", "S3", "S4", "S5", "S6", "S7"])
+def test_cli_verify_every_suite(suite, tmp_path, capsys):
+    code = main(["verify", suite, "--coefficient", "1", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    data = json.loads((tmp_path / f"report_{suite}.json").read_text())
+    assert data["suite"] == suite and data["checks"]
+    assert code == (0 if data["ok"] else 1)
+    status = {True: "PASS", None: "DATA", False: "FAIL"}
+    expected = [f"{suite} {c['name']}: {status[c['passed']]}"
+                for c in data["checks"]]
+    assert [line for line in out.splitlines() if line.startswith(suite)] \
+        == expected
+
+
+def test_cli_report_runs_the_configured_suites(tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("coefficient = 1\nsuites = S1, S6, S7\n")
+    code = main(["--config", str(cfg), "report", "--out", str(tmp_path)])
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert set(data) == {"S1", "S6", "S7"}
+    assert code == (0 if all(r["ok"] for r in data.values()) else 1)
+
+
+def test_s2_pole_message_prints_plain_numbers():
+    with pytest.raises(ScenarioError) as info:
+        run_suite("S2", Scenario(coefficient="25"))
+    message = str(info.value)
+    assert "poles found at [" in message
+    assert "np." not in message
+
+
+def test_cli_pole_inside_disc_fails_with_one_line(tmp_path, capsys):
+    code = main(["zeros", "--coefficient", "1/(z-0.5)", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("failed: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_serialization_leaves_no_partial_file(tmp_path, monkeypatch):
+    from discde import cli
+    from discde.stopping import dump_forest_jsonl
+
+    # _emit: JSON rows that cannot be serialized
+    target = tmp_path / "rows.json"
+    target.write_text("previous\n")
+    with pytest.raises(TypeError):
+        cli._emit(Scenario(out=str(tmp_path)), "rows", [[object()]], ["a"])
+    assert target.read_text() == "previous\n"
+
+    # verify: a report value the JSON encoder rejects
+    report_path = tmp_path / "report_S6.json"
+    report_path.write_text("previous\n")
+    broken = SuiteReport("S6")
+    broken.add("unserializable", "anchor", {"value": object()}, passed=True)
+    monkeypatch.setattr(cli, "run_suite", lambda suite_id, scenario: broken)
+    with pytest.raises(TypeError):
+        main(["verify", "S6", "--out", str(tmp_path)])
+    assert report_path.read_text() == "previous\n"
+
+    # forest.jsonl is written line by line: fail after the first line
+    class Node:
+        def __init__(self, record):
+            self.record = record
+
+        def to_record(self):
+            if self.record is None:
+                raise RuntimeError("record failed")
+            return self.record
+
+    class Forest:
+        def all_nodes(self):
+            return [Node({"generation": 0}), Node(None)]
+
+    with pytest.raises(RuntimeError):
+        dump_forest_jsonl(Forest(), tmp_path / "forest.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["report_S6.json", "rows.json"]
