@@ -302,6 +302,6 @@ def dump_distribution_csv(samples, path, points_per_decade=64, decades=2.0):
     lambdas = np.geomspace(top / 10.0 ** decades, top * (1 - 1e-12),
                            int(points_per_decade * decades))
     measure = distribution_function(samples, lambdas)
-    rows = [["lambda", "measure"]] + [[f"{lam!r}", f"{m!r}"]
-                                      for lam, m in zip(lambdas, measure)]
+    rows = [["lambda", "measure"]] + list(zip(lambdas.tolist(),
+                                              measure.tolist()))
     write_atomic(path, lambda fh: csv.writer(fh).writerows(rows), newline="")

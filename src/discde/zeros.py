@@ -8,13 +8,16 @@ logarithmic derivative (the companion polynomial of the Newton identities),
 polish with Newton iteration, and certify each zero with a small winding
 circle.  Annuli with many zeros are split radially until each piece holds
 few enough zeros for the moment method to stay well conditioned.
+
+Every function takes the evaluator of the functionals, ``f_jet(z) -> (f, f')``
+elementwise on a point or an array; a contour is one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -28,6 +31,8 @@ _NEWTON_TOL = 1e-12
 _MAX_COUNT_POINTS = 1 << 15
 # Contour nudges off a zero or a non-finite value before a count gives up.
 _MAX_NUDGES = 16
+# ZeroSequence order: rounding far above the last-bit noise of a zero.
+_ORDER_DECIMALS = 9
 
 
 class ZeroLocationError(RuntimeError):
@@ -35,26 +40,30 @@ class ZeroLocationError(RuntimeError):
 
 
 def _values_on_circle(f_jet, center, r, n):
-    """(f, f') on n equispaced points of the circle |z - center| = r."""
+    """(f, f') on n equispaced points of |z - center| = r, in one call."""
     zs = center + r * np.exp(1j * TWO_PI * np.arange(n) / n)
-    vals, ders = np.empty((2, n), dtype=complex)
-    for i, z in enumerate(zs):
-        vals[i], ders[i] = f_jet(z)
+    vals, ders = f_jet(zs)
     return zs, vals, ders
+
+
+def _degenerate(vals):
+    """Whether some value is zero or not finite."""
+    return bool(np.any(vals == 0) or np.any(~np.isfinite(vals)))
 
 
 def count_zeros(f_jet, center, r, n_start=64, n_max=_MAX_COUNT_POINTS):
     """Number of zeros in |z - center| < r by the argument principle.
 
     Trapezoid sums of f'/f on the circle are doubled until the estimate is
-    within 1/4 of an integer and stable across one doubling.
+    within 1/4 of an integer and stable across one doubling; each level is
+    one ``f_jet`` call.
     """
     n = n_start
     prev = None
     nudges = 0
     while n <= n_max:
         zs, vals, ders = _values_on_circle(f_jet, center, r, n)
-        if np.any(vals == 0) or np.any(~np.isfinite(vals)):
+        if _degenerate(vals):
             nudges += 1
             if nudges > _MAX_NUDGES:
                 raise ZeroLocationError(
@@ -79,10 +88,8 @@ def _moments(f_jet, center, r, count, n):
     relative to the circle center."""
     zs, vals, ders = _values_on_circle(f_jet, center, r, n)
     w = ders / vals * (zs - center)
-    s = np.empty(count, dtype=complex)
-    for k in range(1, count + 1):
-        s[k - 1] = np.mean(w * (zs - center) ** k)
-    return s
+    powers = (zs - center) ** np.arange(1, count + 1)[:, None]
+    return np.mean(w * powers, axis=1)
 
 
 def _power_sums_to_poly(s):
@@ -142,24 +149,25 @@ def _locate_in_annulus(f_jet, r_lo, r_hi, found, depth=0):
     coeffs = _power_sums_to_poly(s[:n_here])
     candidates = np.roots(coeffs) if n_here > 0 else []
     for cand in candidates:
-        zero = _newton_polish(f_jet, cand)
-        sep = min((abs(zero - z) for z in found), default=np.inf)
-        radius = min(0.25 * (1 - abs(zero)), 1e-4, 0.4 * sep)
-        if radius <= 0 or not _certify(f_jet, zero, radius):
-            # fall back: re-polish from a jittered start before giving up
-            zero = _newton_polish(f_jet, cand * (1 + 1e-3) + 1e-5)
+        # a jittered start is the one retry before giving up
+        for start in (cand, cand * (1 + 1e-3) + 1e-5):
+            zero = _newton_polish(f_jet, start)
             sep = min((abs(zero - z) for z in found), default=np.inf)
             radius = min(0.25 * (1 - abs(zero)), 1e-4, 0.4 * sep)
-            if radius <= 0 or not _certify(f_jet, zero, radius):
-                raise ZeroLocationError(
-                    f"candidate zero near {cand} failed winding certification"
-                )
+            if radius > 0 and _certify(f_jet, zero, radius):
+                break
+        else:
+            raise ZeroLocationError(
+                f"candidate zero near {cand} failed winding certification"
+            )
         found.append(complex(zero))
 
 
 @dataclass
 class ZeroSequence:
-    """Zeros of an analytic function in |z| < r_max, sorted by modulus."""
+    """Zeros in |z| < r_max, sorted by modulus, real part, imaginary part,
+    each rounded to ``_ORDER_DECIMALS`` decimals, so that zeros of equal
+    modulus come out in one order whatever the last bits of the moduli."""
 
     zeros: list
     r_max: float
@@ -173,26 +181,25 @@ class ZeroSequence:
 
 
 def divide_out_origin(f_jet):
-    """Jet of f(z)/z for f with a simple zero at the origin.
+    """Elementwise evaluator of f(z)/z for f with a simple zero at 0.
 
     At the origin the jet is probed at z = 1e-7, where f(z)/z is f'(0) up
     to |f''(0)| 1e-7 / 2; no higher-order jet of f is needed.
     """
     def deflated(z):
-        if z == 0:
-            z = 1e-7
+        z = np.where(z == 0, 1e-7, z)
         v, d = f_jet(z)
         return v / z, (d * z - v) / (z * z)
     return deflated
 
 
 def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
-    """All zeros of f in |z| < r_max, as Python complex numbers; the
-    pointwise ``f_jet(z)`` returns (f(z), f'(z)) at one point z.
+    """All zeros of f in |z| < r_max, as Python complex numbers in the
+    order of ``ZeroSequence``; ``f_jet(z)`` is elementwise (f(z), f'(z)).
 
     Every zero is certified by a unit winding number on a small circle and
-    the function residual |f(zero)| is recorded.  A simple zero at the
-    origin is handled by dividing it out when ``deflate_origin`` is set.
+    the residuals |f(zero)| are recorded, from one call on all zeros.  A
+    simple zero at the origin is divided out when ``deflate_origin`` is set.
     """
     if not 0 < r_max < 1:
         raise ValueError("r_max must lie in (0, 1)")
@@ -210,8 +217,10 @@ def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
     edges = dyadic_edges(0.0, r_max)
     for lo, hi in zip(edges, edges[1:]):
         _locate_in_annulus(f_jet, lo, hi, found)
-    found.sort(key=abs)
-    residuals = [abs(f_jet(z)[0]) for z in found]
+    found.sort(key=lambda z: tuple(round(x, _ORDER_DECIMALS)
+                                   for x in (abs(z), z.real, z.imag)))
+    vals = f_jet(np.array(found, dtype=complex))[0]
+    residuals = np.broadcast_to(np.abs(vals), len(found)).tolist()
     return ZeroSequence(found, r_max, residuals)
 
 
@@ -226,14 +235,7 @@ def blaschke_sum(points, alpha=1.0):
 
 def separation_delta(points):
     """min over pairs of the pseudo-hyperbolic distance (1.0 if < 2 points)."""
-    pts = list(points)
-    if len(pts) < 2:
-        return 1.0
-    return min(
-        rho_p(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
+    return min((rho_p(a, b) for a, b in combinations(points, 2)), default=1.0)
 
 
 def uniform_separation(points, delta=None):
@@ -251,14 +253,14 @@ def jensen_check(f_jet, zeros, r, n_points=1 << 12):
         mean of log|f| - log|f(0)| - sum_{|z_i|<r} log(r/|z_i|).
 
     A small residual certifies the zero list is complete inside |z| < r.
+    ``f_jet`` is called on the circle and at 0; a zero or non-finite value
+    there raises ``ZeroLocationError``.
     """
-    thetas = TWO_PI * np.arange(n_points) / n_points
-    total = 0.0
-    for t in thetas:
-        v, _ = f_jet(r * cmath.exp(1j * t))
-        total += math.log(abs(v))
-    mean_log = total / n_points
-    v0, _ = f_jet(0.0)
+    _, vals, _ = _values_on_circle(f_jet, 0.0, r, n_points)
+    v0 = f_jet(0.0)[0]
+    if _degenerate(np.append(vals, v0)):
+        raise ZeroLocationError(f"f vanishes or is not finite on |z| = {r}")
+    mean_log = float(np.mean(np.log(np.abs(vals))))
     zero_part = sum(math.log(r / abs(z)) for z in zeros if abs(z) < r)
     return mean_log - math.log(abs(v0)) - zero_part
 
@@ -268,20 +270,15 @@ def a_point_separation(f_jet, a_values, r_max=0.9):
     target values the a-points of both are pooled and the minimal
     pseudo-hyperbolic gap across the pool is measured.
 
-    Returns (min over pairs, {(a, b): delta}).  A nonvanishing Wronskian
+    ``f_jet`` is elementwise as for ``find_zeros``.  Returns (min over
+    pairs, {(a, b): delta}, {a: a-points}).  A nonvanishing Wronskian
     forces distinct solutions never to share an a-point, so the pooled gap
     stays positive.
     """
-    located = {}
-    for a in a_values:
-        shifted = _shift_jet(f_jet, a)
-        located[a] = list(find_zeros(shifted, r_max).zeros)
-    table = {}
-    values = list(a_values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            pool = located[values[i]] + located[values[j]]
-            table[(values[i], values[j])] = separation_delta(pool)
+    located = {a: list(find_zeros(_shift_jet(f_jet, a), r_max).zeros)
+               for a in a_values}
+    table = {(a, b): separation_delta(located[a] + located[b])
+             for a, b in combinations(located, 2)}
     overall = min(table.values()) if table else 1.0
     return overall, table, located
 

@@ -131,8 +131,7 @@ def test_criterion_04_jensen_gap():
                      if z != 0 and abs(abs(z) - r) > 1e-3 and abs(z) < r]
 
             def deflated(z, f=f):
-                if z == 0:
-                    z = 1e-7
+                z = np.where(z == 0, 1e-7, z)
                 v, d = f.jet(z, 1)
                 return v / z, (d * z - v) / (z * z)
 

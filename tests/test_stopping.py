@@ -155,3 +155,12 @@ def test_distribution_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "lambda,measure"
     assert len(lines) > 64
+
+
+def test_distribution_csv_cells_are_plain_floats(tmp_path):
+    path = tmp_path / "dist.csv"
+    dump_distribution_csv(np.random.default_rng(1).uniform(1, 100, 256), path)
+    cells = [c for line in path.read_text().splitlines()[1:]
+             for c in line.split(",")]
+    assert cells and not any("np." in c for c in cells)
+    assert all(math.isfinite(float(c)) for c in cells)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discde.geometry import phi, rho_p
+from discde.ode import make_basis
 from discde.zeros import (
     ZeroLocationError,
     a_point_separation,
@@ -19,11 +19,11 @@ from discde.zeros import (
 
 
 def cos5(z):
-    return cmath.cos(5 * z), -5 * cmath.sin(5 * z)
+    return np.cos(5 * z), -5 * np.sin(5 * z)
 
 
 def cos25(z):
-    return cmath.cos(25 * z), -25 * cmath.sin(25 * z)
+    return np.cos(25 * z), -25 * np.sin(25 * z)
 
 
 def test_count_by_winding():
@@ -48,7 +48,7 @@ def test_find_zeros_dense():
 
 
 def test_origin_zero_requires_deflation():
-    f = lambda z: (cmath.sin(10 * z) / 10, cmath.cos(10 * z))
+    f = lambda z: (np.sin(10 * z) / 10, np.cos(10 * z))
     with pytest.raises(ZeroLocationError):
         find_zeros(f, 0.95)
     seq = find_zeros(f, 0.95, deflate_origin=True)
@@ -57,7 +57,7 @@ def test_origin_zero_requires_deflation():
 
 
 def test_no_zeros():
-    seq = find_zeros(lambda z: (cmath.exp(z), cmath.exp(z)), 0.95)
+    seq = find_zeros(lambda z: (np.exp(z), np.exp(z)), 0.95)
     assert len(seq) == 0
 
 
@@ -111,3 +111,38 @@ def test_find_zeros_respects_small_r_max():
 def test_count_zeros_non_finite_values_raise():
     with pytest.raises(ZeroLocationError):
         count_zeros(lambda z: (math.nan, 1.0), 0.0, 0.5)
+
+
+def test_equal_modulus_zeros_in_fixed_order():
+    basis = make_basis("100", ics=((0, 1), (1, 0)))
+    seq = find_zeros(lambda z: basis.f1.jet(z, 1), 0.95, deflate_origin=True)
+    # 0, -pi/10, pi/10, -pi/5, pi/5, -3pi/10, 3pi/10: the pairs tie in modulus
+    expected = [0.0] + [s * k * math.pi / 10
+                        for k in (1, 2, 3) for s in (-1, 1)]
+    assert len(seq) == len(expected)
+    assert all(abs(z - e) < 1e-12 for z, e in zip(seq.zeros, expected))
+
+
+def test_jensen_check_zero_on_circle_raises():
+    with pytest.raises(ZeroLocationError):
+        jensen_check(lambda z: (z - 0.5, 1 + 0 * z), [], 0.5)
+
+
+def _recording(f_jet):
+    """f_jet wrapped to record the number of points of each call."""
+    sizes = []
+
+    def recorded(z):
+        sizes.append(np.size(z))
+        return f_jet(z)
+    return recorded, sizes
+
+
+def test_contour_and_circle_are_one_call_each():
+    counted, sizes = _recording(cos5)
+    assert count_zeros(counted, 0.0, 0.99) == 4
+    assert sizes == [64 << level for level in range(len(sizes))]
+    zeros = find_zeros(cos5, 0.99).zeros
+    counted, sizes = _recording(cos5)
+    jensen_check(counted, zeros, 0.97)
+    assert sizes == [1 << 12, 1]
