@@ -259,7 +259,7 @@ def jensen_check(f_jet, zeros, r, n_points=1 << 12):
     _, vals, _ = _values_on_circle(f_jet, 0.0, r, n_points)
     v0 = f_jet(0.0)[0]
     if _degenerate(np.append(vals, v0)):
-        raise ZeroLocationError(f"f vanishes or is not finite on |z| = {r}")
+        raise ZeroLocationError(f"f is 0 or not finite on |z| = {r} or at 0")
     mean_log = float(np.mean(np.log(np.abs(vals))))
     zero_part = sum(math.log(r / abs(z)) for z in zeros if abs(z) < r)
     return mean_log - math.log(abs(v0)) - zero_part
