@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dyadic_edges, generation_squares, phi
+from .geometry import dyadic_edges, generation_squares
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,15 +240,17 @@ def weighted_area_integral(A, p, beta, r_maxes=(0.9, 0.99, 0.999),
     return trend[-1][1], trend
 
 
+def _net_rings(max_depth, base_angles=8):
+    """(radius, point count) of each ring of the a-net, the origin first."""
+    return [(0.0, 1)] + [(1 - 2.0 ** (-j), base_angles * 2 ** j)
+                         for j in range(1, max_depth + 1)]
+
+
 def default_a_net(max_depth=10, base_angles=8):
     """Pseudo-hyperbolically spread net {r_j e^(i theta)}: r_j = 1 - 2^-j with
     2^(j+3) angles per ring (boundary-concentrated, Möbius-aware)."""
-    net = [0j]
-    for j in range(1, max_depth + 1):
-        r = 1 - 2.0 ** (-j)
-        n = base_angles * 2 ** j
-        net.extend(r * np.exp(1j * TWO_PI * np.arange(n) / n))
-    return net
+    return [a for r, n in _net_rings(max_depth, base_angles)
+            for a in r * np.exp(1j * TWO_PI * np.arange(n) / n)]
 
 
 @dataclass
@@ -262,79 +264,78 @@ class NetSupReport:
 
 
 def _weighted_quadrature(density, r_max, n_radial, n_theta):
-    """Memo coarsen -> (nodes, weights * density(nodes)) of the polar rule
-    with n_radial // coarsen radial and max(64, n_theta // coarsen) angular
-    nodes; the density is evaluated once per rule."""
-    memo = {}
-
-    def at(coarsen):
-        if coarsen not in memo:
-            nodes, weights = polar_quadrature(r_max, n_radial // coarsen,
-                                              max(64, n_theta // coarsen))
-            memo[coarsen] = nodes, weights * density(nodes)
-        return memo[coarsen]
-
-    return at
+    """(radii, weights * density on the radii x angles grid) of the polar
+    rule; a non-finite density value makes the whole grid NaN."""
+    nodes, weights = polar_quadrature(r_max, n_radial, n_theta)
+    weighted = (weights * density(nodes)).reshape(-1, n_theta)
+    if not np.isfinite(weighted).all():
+        weighted[:] = np.nan
+    return nodes[::n_theta].real, weighted
 
 
-def _net_sup(kernel, a_net, quadrature, coarse_factor=2):
-    """Max over a net of the integral of kernel(a, z) against a weighted
-    quadrature, with a refinement delta measured against a coarsened
-    evaluation at the argmax."""
-
-    def value(a, coarsen):
-        nodes, weighted = quadrature(coarsen)
-        return float(np.sum(weighted * kernel(a, nodes)))
-
-    best, best_a = -np.inf, 0j
-    for a in a_net:
-        v = value(a, 1)
-        if v > best:
-            best, best_a = v, a
-    coarse = value(best_a, coarse_factor)
-    return NetSupReport(float(best), complex(best_a), float(abs(best - coarse)))
-
-
-def _automorphism_kernel(a, nodes):
-    """1 - |phi_a(z)|^2."""
-    return 1 - np.abs(phi(a, nodes)) ** 2 if a != 0 else 1 - np.abs(nodes) ** 2
+def _net_values(depth, rule):
+    """Integrals of the Poisson kernel (1 - |a|^2) / |1 - conj(a) z|^2 against
+    the weighted rule at each a of default_a_net(depth), in its order.  The
+    kernel depends on the angles only through cos(arg z - arg a), so an
+    m-point ring is every (n/m)-th entry of one circular convolution over the
+    n angles, which m must divide."""
+    radii, weighted = rule
+    n, m_outer = weighted.shape[1], _net_rings(depth)[-1][1]
+    if n % m_outer:
+        raise ValueError(f"{n} angles are not a multiple of {m_outer}, "
+                         "the points on the outer ring of the net")
+    r, cos = radii[:, None], np.cos(TWO_PI * np.arange(n) / n)
+    spectrum, rings = np.fft.rfft(weighted), []
+    for rho, m in _net_rings(depth):
+        kernel = (1 - rho * rho) / ((1 - rho * r) ** 2 + 2 * rho * r * (1 - cos))
+        product = np.fft.rfft(kernel) * spectrum
+        rings.append(np.fft.irfft(product.sum(axis=0), n)[:: n // m])
+    return np.concatenate(rings)
 
 
-def _poisson_kernel(a, nodes):
-    """(1 - |a|^2) / |1 - conj(a) z|^2."""
-    a = complex(a)
-    return (1 - abs(a) ** 2) / np.abs(1 - a.conjugate() * nodes) ** 2
+def _net_sup(depth, density, r_max, n_radial, n_theta, coarse_factor=2):
+    """First maximum of _net_values in net order, with the refinement delta
+    against the rule coarsened by coarse_factor (at least 64 angles)."""
+    def values_on(coarsen):
+        return _net_values(depth, _weighted_quadrature(
+            density, r_max, n_radial // coarsen, max(64, n_theta // coarsen)))
+
+    values = values_on(1)
+    k = int(np.argmax(values))
+    coarse = values if coarse_factor == 1 else values_on(coarse_factor)
+    return NetSupReport(float(values[k]), complex(default_a_net(depth)[k]),
+                        float(abs(values[k] - coarse[k])))
 
 
-def fp_norm(A, p, a_net=None, r_max=0.999, n_radial=64, n_theta=256):
+def fp_norm(A, p, r_max=0.999, n_radial=64, n_theta=256):
     """Lower bound for the Carleson-type coefficient norm
 
-        sup_a ( integral |A|^p (1-|z|^2)^(2p-2) (1-|phi_a(z)|^2) dm )^(1/p).
+        sup_a ( integral |A|^p (1-|z|^2)^(2p-2) (1-|phi_a(z)|^2) dm )^(1/p)
+
+    over the 4-ring default_a_net: n_theta and max(64, n_theta // 2) must
+    be multiples of 128.  NaN when A is not finite on a node.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    a_net = default_a_net(max_depth=4) if a_net is None else list(a_net)
 
+    # 1 - |phi_a(z)|^2 is (1 - |z|^2) times the Poisson kernel of _net_values
     def density(nodes):
         return (np.abs(np.asarray(A(nodes), dtype=complex)) ** p
-                * (1 - np.abs(nodes) ** 2) ** (2 * p - 2))
+                * (1 - np.abs(nodes) ** 2) ** (2 * p - 1))
 
-    report = _net_sup(_automorphism_kernel, a_net,
-                      _weighted_quadrature(density, r_max, n_radial, n_theta))
+    report = _net_sup(4, density, r_max, n_radial, n_theta)
     report.value = report.value ** (1.0 / p)
     return report
 
 
-def carleson_embedding_constant(mu, a_net=None, r_max=0.999, n_radial=64,
-                                n_theta=256):
-    """sup over the net of integral (1-|a|^2)/|1 - conj(a) z|^2 d(mu)."""
-    a_net = default_a_net(max_depth=4) if a_net is None else list(a_net)
+def carleson_embedding_constant(mu, r_max=0.999, n_radial=64, n_theta=256):
+    """sup over the 4-ring default_a_net of integral (1-|a|^2)/|1 - conj(a) z|^2
+    d(mu); angle counts as for fp_norm, NaN when mu is not finite on a node."""
 
     def density(nodes):
         return np.asarray(mu(nodes), dtype=float)
 
-    return _net_sup(_poisson_kernel, a_net,
-                    _weighted_quadrature(density, r_max, n_radial, n_theta))
+    return _net_sup(4, density, r_max, n_radial, n_theta)
 
 
 def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
@@ -367,20 +368,19 @@ def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64
     return best, best_sq
 
 
-def bmoa_seminorm(fprime, a_net=None, r_max=0.99, n_radial=48, n_theta=128):
-    """Net-sup lower bound for the square root of
-    sup_a integral |f'|^2 (1 - |phi_a(z)|^2) dm.
+def bmoa_seminorm(fprime, r_max=0.99, n_radial=48, n_theta=128):
+    """Net-sup lower bound for the square root of sup_a integral |f'|^2
+    (1 - |phi_a(z)|^2) dm over the 3-ring default_a_net: n_theta must be a
+    multiple of 64.  NaN when f' is not finite on a node.
 
     ``fprime`` is a vectorized evaluator of the derivative: it maps an array
     of points to the array of values.
     """
-    a_net = default_a_net(max_depth=3) if a_net is None else list(a_net)
 
-    def density(nodes):
-        return np.abs(np.asarray(fprime(nodes), dtype=complex)) ** 2
+    def density(nodes):  # with the 1 - |z|^2 of 1 - |phi_a|^2, as in fp_norm
+        return (np.abs(np.asarray(fprime(nodes), dtype=complex)) ** 2
+                * (1 - np.abs(nodes) ** 2))
 
-    report = _net_sup(_automorphism_kernel, a_net,
-                      _weighted_quadrature(density, r_max, n_radial, n_theta),
-                      coarse_factor=1)
+    report = _net_sup(3, density, r_max, n_radial, n_theta, coarse_factor=1)
     report.value = math.sqrt(max(report.value, 0.0))
     return report

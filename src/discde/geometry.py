@@ -60,11 +60,12 @@ def dyadic_edges(lo, r_max):
 
 
 def stolz_contains(theta, alpha, z):
-    """Membership in the non-tangential region |z - e^(i theta)| <= alpha (1 - |z|)."""
+    """Membership in the non-tangential region |z - e^(i theta)| <= alpha (1 - |z|),
+    elementwise on a point or an array of points."""
     if not alpha > 1:
         raise ValueError("aperture alpha must exceed 1")
-    z = complex(z)
-    return abs(z - np.exp(1j * theta)) <= alpha * (1 - abs(z))
+    z = np.asarray(z, dtype=complex)
+    return np.abs(z - np.exp(1j * theta)) <= alpha * (1 - np.abs(z))
 
 
 @dataclass(frozen=True, order=True)

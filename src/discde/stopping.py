@@ -192,17 +192,14 @@ def exhaustive_g0(wprime_abs, c0, eps0, max_generation):
 
 def stolz_sample(theta, alpha, r_max, n_radii=24):
     """Quasi-uniform sample of the Stolz region at e^(i theta): dyadic radii
-    with angular windows proportional to the aperture at each depth."""
-    points = []
+    with angular windows proportional to the aperture at each depth, five
+    angles per radius, radius by radius, then r_max e^(i theta)."""
     depths = np.arange(1, n_radii + 1)
     radii = 1 - (1 - r_max) ** (depths / n_radii)
-    for r in radii:
-        half_width = math.sqrt(max(alpha * alpha - 1, 0.0)) * (1 - r)
-        n_ang = 5
-        for t in np.linspace(-half_width, half_width, n_ang):
-            z = r * np.exp(1j * (theta + t))
-            if stolz_contains(theta, alpha, z):
-                points.append(complex(z))
+    half_width = math.sqrt(max(alpha * alpha - 1, 0.0)) * (1 - radii)
+    offsets = np.linspace(-half_width, half_width, 5, axis=1)
+    zs = (radii[:, None] * np.exp(1j * (theta + offsets))).ravel()
+    points = zs[stolz_contains(theta, alpha, zs)].tolist()
     points.append(complex(r_max * np.exp(1j * theta)))
     return points
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import typing
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -55,6 +56,19 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
+def _config_parser(tp):
+    """Reader of a config value for a field of type ``tp``: str, int, float,
+    or a comma-separated tuple[X, ...] of one of them; None for a field with
+    no config form."""
+    scalar = (str, int, float)
+    if tp in scalar:
+        return tp
+    item, *rest = typing.get_args(tp) or (None,)
+    if typing.get_origin(tp) is tuple and item in scalar and rest == [...]:
+        return lambda text: tuple(item(v.strip()) for v in text.split(","))
+    return None
+
+
 @dataclass
 class Scenario:
     """Configuration for one verification run."""
@@ -67,8 +81,8 @@ class Scenario:
     c0: float = 2.0
     eps0: float = 0.125
     alpha: float = 2.0
-    radii: tuple = (0.5, 0.7, 0.9)
-    suites: tuple = SUITE_IDS
+    radii: tuple[float, ...] = (0.5, 0.7, 0.9)
+    suites: tuple[str, ...] = SUITE_IDS
     out: str = None
     fmt: str = "json"
 
@@ -90,7 +104,11 @@ class Scenario:
 
     @classmethod
     def from_config(cls, path):
-        """Flat key=value text; '#' comments; lists are comma-separated."""
+        """Flat key=value text; '#' comments; lists are comma-separated.
+
+        The keys are the field names (``format`` for ``fmt``), each read
+        by its field type; an unknown key or an unreadable value raises
+        ScenarioError naming the path and the key."""
         values = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -101,24 +119,18 @@ class Scenario:
                     raise ScenarioError(f"{path}:{lineno}: expected key=value")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
+        fields = {("format" if name == "fmt" else name):
+                  (name, _config_parser(tp))
+                  for name, tp in typing.get_type_hints(cls).items()}
         kwargs = {}
         for key, val in values.items():
-            if key == "coefficient":
-                kwargs[key] = val
-            elif key in ("rmax", "tol", "c0", "eps0", "alpha"):
-                kwargs[key] = float(val)
-            elif key == "max_generation":
-                kwargs[key] = int(val)
-            elif key == "radii":
-                kwargs[key] = tuple(float(v) for v in val.split(","))
-            elif key == "suites":
-                kwargs[key] = tuple(v.strip() for v in val.split(","))
-            elif key == "out":
-                kwargs[key] = val
-            elif key == "format":
-                kwargs["fmt"] = val
-            else:
+            name, parse = fields.get(key, (None, None))
+            if parse is None:
                 raise ScenarioError(f"{path}: unknown key {key!r}")
+            try:
+                kwargs[name] = parse(val)
+            except ValueError as exc:
+                raise ScenarioError(f"{path}: {key}: {exc}") from None
         return cls(**kwargs)
 
 

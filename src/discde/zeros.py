@@ -127,18 +127,18 @@ def _certify(f_jet, zero, radius):
         return False
 
 
-def _locate_in_annulus(f_jet, r_lo, r_hi, found, depth=0):
-    """Zeros with r_lo < |z| <= r_hi, by moment localization with radial
-    splitting when the cluster is too large."""
-    n_hi = count_zeros(f_jet, 0.0, r_hi)
-    n_lo = count_zeros(f_jet, 0.0, r_lo) if r_lo > 0 else 0
+def _locate_in_annulus(f_jet, r_lo, r_hi, n_lo, n_hi, found, depth=0):
+    """Zeros with r_lo < |z| <= r_hi, given the counts n_lo and n_hi inside
+    |z| < r_lo and |z| < r_hi, by moment localization with radial splitting
+    when the cluster is too large; each split radius is counted once."""
     n_here = n_hi - n_lo
     if n_here == 0:
         return
     if n_here > _MAX_CLUSTER and depth < 40:
         r_mid = 0.5 * (r_lo + r_hi)
-        _locate_in_annulus(f_jet, r_lo, r_mid, found, depth + 1)
-        _locate_in_annulus(f_jet, r_mid, r_hi, found, depth + 1)
+        n_mid = count_zeros(f_jet, 0.0, r_mid)
+        _locate_in_annulus(f_jet, r_lo, r_mid, n_lo, n_mid, found, depth + 1)
+        _locate_in_annulus(f_jet, r_mid, r_hi, n_mid, n_hi, found, depth + 1)
         return
     # moments over |z| < r_hi include the already-found inner zeros; subtract
     n_pts = 1 << 12
@@ -213,10 +213,14 @@ def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
         inner = find_zeros(divide_out_origin(f_jet), r_max)
         return ZeroSequence([0.0 + 0.0j] + inner.zeros, r_max,
                             [0.0] + inner.residuals)
-    # annuli between dyadic radii keep per-region counts small near r = 1
+    # annuli between dyadic radii keep per-region counts small near r = 1;
+    # each annulus hands its outer count to the next as the inner one
     edges = dyadic_edges(0.0, r_max)
+    n_lo = 0
     for lo, hi in zip(edges, edges[1:]):
-        _locate_in_annulus(f_jet, lo, hi, found)
+        n_hi = count_zeros(f_jet, 0.0, hi)
+        _locate_in_annulus(f_jet, lo, hi, n_lo, n_hi, found)
+        n_lo = n_hi
     found.sort(key=lambda z: tuple(round(x, _ORDER_DECIMALS)
                                    for x in (abs(z), z.real, z.imag)))
     vals = f_jet(np.array(found, dtype=complex))[0]

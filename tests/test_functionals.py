@@ -21,7 +21,8 @@ from discde.functionals import (
     polar_quadrature,
     weighted_area_integral,
 )
-from discde.geometry import CarlesonSquare
+from discde.functionals import _net_values, _weighted_quadrature
+from discde.geometry import CarlesonSquare, phi
 
 
 def bessel_i0(x):
@@ -170,3 +171,43 @@ def test_default_a_net_inside_disc():
     net = default_a_net(max_depth=5)
     assert all(abs(a) < 1 for a in net)
     assert 0j in net
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_net_values_match_closed_form_kernels(depth):
+    # every net point against the direct sums of both kernels; the
+    # automorphism kernel is the Poisson kernel times 1 - |z|^2
+    nodes, weights = polar_quadrature(0.999, 16, 256)
+    density = np.random.default_rng(depth).uniform(0.1, 1.0, nodes.size)
+    net = default_a_net(depth)
+    for factor, kernel in [
+        (1.0, lambda a: (1 - abs(a) ** 2) / np.abs(1 - np.conj(a) * nodes) ** 2),
+        (1 - np.abs(nodes) ** 2, lambda a: 1 - np.abs(phi(a, nodes)) ** 2),
+    ]:
+        rule = _weighted_quadrature(lambda z: density * factor, 0.999, 16, 256)
+        got = _net_values(depth, rule)
+        expected = np.array([np.sum(weights * density * kernel(a)) for a in net])
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
+
+
+def test_net_angle_count_must_be_a_multiple_of_the_outer_ring():
+    one = lambda zs: np.ones_like(zs)
+    with pytest.raises(ValueError):
+        fp_norm(one, 1.0, n_theta=200)
+    with pytest.raises(ValueError):
+        fp_norm(one, 1.0, n_theta=128)  # coarsened rule: 64 angles
+    with pytest.raises(ValueError):
+        carleson_embedding_constant(MeasureDensity(lambda zs: np.ones(len(zs))),
+                                    n_theta=192)
+    with pytest.raises(ValueError):
+        bmoa_seminorm(one, n_theta=96)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_net_suprema_of_non_finite_density_are_nan(bad):
+    density = lambda zs: np.where(abs(zs) > 0.5, bad, 1.0)
+    assert math.isnan(bmoa_seminorm(lambda zs: density(zs) + 0j).value)
+    assert math.isnan(fp_norm(lambda zs: density(zs) + 0j, 1.0).value)
+    assert math.isnan(
+        carleson_embedding_constant(MeasureDensity(density)).value)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from discde.geometry import stolz_contains
 from discde.stopping import (
     ThresholdUnderflowError,
     build_g0,
@@ -14,6 +15,7 @@ from discde.stopping import (
     nontangential_max_inv,
     predicted_p,
     refine_generation,
+    stolz_sample,
     stopping_threshold,
     weak_lp_fit,
 )
@@ -92,6 +94,27 @@ def test_length_decay_implies_geometric_sum():
     if all_pass:
         for n, s in enumerate(sums):
             assert s <= sums[0] / 2**n + 1e-12
+
+
+@pytest.mark.parametrize("alpha, r_max, n_radii",
+                         [(2.0, 0.999, 24), (1.5, 0.99, 10), (3.0, 0.9997, 40)])
+def test_stolz_sample_matches_pointwise_reference(alpha, r_max, n_radii):
+    for theta in 2 * math.pi * np.arange(32) / 32:
+        expected = []
+        depths = np.arange(1, n_radii + 1)
+        for r in 1 - (1 - r_max) ** (depths / n_radii):
+            half_width = math.sqrt(max(alpha * alpha - 1, 0.0)) * (1 - r)
+            for t in np.linspace(-half_width, half_width, 5):
+                z = complex(r * np.exp(1j * (theta + t)))
+                if abs(z - np.exp(1j * theta)) <= alpha * (1 - abs(z)):
+                    expected.append(z)
+        expected.append(complex(r_max * np.exp(1j * theta)))
+        points = stolz_sample(theta, alpha, r_max, n_radii)
+        assert points == expected
+        assert all(type(z) is complex for z in points)
+    zs = np.array([0.9, 0.9j, 0.5, -0.99, 0.999 + 0.01j])
+    assert stolz_contains(0.0, 2.0, zs).tolist() == [
+        bool(stolz_contains(0.0, 2.0, z)) for z in zs]
 
 
 def test_nontangential_max_constant():

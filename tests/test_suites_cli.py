@@ -232,3 +232,17 @@ def test_failed_serialization_leaves_no_partial_file(tmp_path, monkeypatch):
         dump_forest_jsonl(Forest(), tmp_path / "forest.jsonl")
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["report_S6.json", "rows.json"]
+
+
+@pytest.mark.parametrize("line", ["rmax = abc", "max_generation = 2.5",
+                                  "radii = 0.5, x"])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["--config", str(cfg), "report", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    key = line.split(" =")[0]
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg) in err and key in err
+    assert not (tmp_path / "report.json").exists()

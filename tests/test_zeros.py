@@ -146,3 +146,20 @@ def test_contour_and_circle_are_one_call_each():
     counted, sizes = _recording(cos5)
     jensen_check(counted, zeros, 0.97)
     assert sizes == [1 << 12, 1]
+
+
+def test_each_contour_radius_is_counted_once(monkeypatch):
+    from discde import zeros
+
+    radii = []
+
+    def recorded(f_jet, center, r, *args, **kwargs):
+        if center == 0:
+            radii.append(r)
+        return count_zeros(f_jet, center, r, *args, **kwargs)
+
+    monkeypatch.setattr(zeros, "count_zeros", recorded)
+    basis = make_basis("100", ics=((0, 1), (1, 0)))
+    seq = find_zeros(lambda z: basis.f1.jet(z, 1), 0.95, deflate_origin=True)
+    assert len(seq) == 7
+    assert radii == [0.5, 0.75, 0.875, 0.9375, 0.95]
