@@ -22,7 +22,6 @@ from .functionals import (
 )
 from .zeros import ZeroSequence, blaschke_sum, find_zeros, separation_delta
 from .schwarzian import (
-    LogBranch,
     QuotientMap,
     defC_constant,
     factorize,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CarlesonSquare",
     "ContinuableSolution",
-    "LogBranch",
     "PowerSeries",
     "QuotientMap",
     "Scenario",

@@ -154,13 +154,11 @@ def cmd_norms(scenario):
 def cmd_quotient(scenario):
     q = quotient_from_coefficient(scenario.coefficient, r_max=scenario.rmax)
     a_eval = scenario.coefficient_eval()
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-        if q.near_pole(z):
-            continue
-        worst = max(worst, abs(q.schwarzian_at(z) - 2 * a_eval(np.array([z]))[0]))
+    xy = np.random.default_rng(7).uniform(-0.6, 0.6, size=(100, 2))
+    zs = xy[:, 0] + 1j * xy[:, 1]
+    zs = zs[~q.near_pole(zs)]
+    worst = float(np.max(np.abs(q.schwarzian_at(zs) - 2 * a_eval(zs)),
+                         initial=0.0))
     print(json.dumps({
         "poles": [[p.real, p.imag] for p in q.poles],
         "schwarzian_identity_residual": worst,
@@ -232,6 +230,11 @@ _COMMANDS = {"solve": cmd_solve, "zeros": cmd_zeros, "norms": cmd_norms,
 
 def main(argv=None):
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value that starts with '-' for an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--coefficient":
+            argv[i:i + 2] = [f"--coefficient={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)

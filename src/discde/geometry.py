@@ -33,10 +33,12 @@ def rho_p(z1, z2):
 
 
 def rho_p_to_set(z, points):
-    """Distance from a point to a finite set; the empty set is at distance 1."""
-    if len(points) == 0:
-        return 1.0
-    return min(rho_p(z, p) for p in points)
+    """Pseudo-hyperbolic distance from z, a point or an array, to a finite
+    set, elementwise; the empty set is at distance 1."""
+    z = np.asarray(z, dtype=complex)[..., None]
+    p = np.asarray(points, dtype=complex)
+    return np.min(np.abs(z - p) / np.abs(1 - np.conj(z) * p), axis=-1,
+                  initial=1.0)
 
 
 def lambda_threshold(s):
@@ -163,6 +165,15 @@ class CarlesonSquare:
         thetas = (self.theta_lo, self.theta_mid, self.theta_hi)
         return [r * complex(math.cos(t), math.sin(t))
                 for r in (r_lo, r_mid, r_hi) for t in thetas]
+
+
+def maximal_squares(squares):
+    """The squares of the list with no strict dyadic ancestor in it, in list
+    order; one set lookup per generation above each square."""
+    keys = {(sq.generation, sq.index) for sq in squares}
+    return [sq for sq in squares
+            if not any((sq.generation - k, ((sq.index - 1) >> k) + 1) in keys
+                       for k in range(1, sq.generation))]
 
 
 def root_square():

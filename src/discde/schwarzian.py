@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import rho_p_to_set
-from .zeros import find_zeros
+from .zeros import analytic_log, find_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,10 +27,11 @@ class PoleError(ZeroDivisionError):
 def schwarzian(jet3):
     """Schwarzian derivative from a 3-jet (w, w', w'', w''').
 
-    Equals (w''/w')' - (w''/w')^2 / 2 in expanded form.
+    Equals (w''/w')' - (w''/w')^2 / 2 in expanded form, elementwise on
+    the entries of the jet.
     """
     _, w1, w2, w3 = jet3
-    if w1 == 0:
+    if np.any(w1 == 0):
         raise PoleError("Schwarzian undefined where w' vanishes")
     h = w2 / w1
     return w3 / w1 - 1.5 * h * h
@@ -42,7 +43,8 @@ class QuotientMap:
 
     w' = 1/f2^2 is analytic everywhere; the poles of w are the zeros of f2,
     stored with exclusion radii (twice a Newton-basin estimate) that grid
-    sweeps should skip.
+    sweeps should skip.  Every method is elementwise on a point or an array;
+    those that divide by f2 raise PoleError where it vanishes.
     """
 
     basis: object
@@ -59,24 +61,27 @@ class QuotientMap:
         basin = np.abs(d1) / np.maximum(np.abs(d2), 1e-30)
         self.exclusion_radii = np.minimum(0.05, 2.0 * np.minimum(basin, 1e-3)).tolist()
 
+    def _f2(self, z, order):
+        """The jet of f2 up to ``order``; PoleError where f2 vanishes."""
+        jet = self.basis.jet(2, z, order)
+        if np.any(jet[0] == 0):
+            raise PoleError(f"pole of w at {z}")
+        return jet
+
     def near_pole(self, z):
-        return any(
-            abs(z - p) <= r for p, r in zip(self.poles, self.exclusion_radii)
-        )
+        """Whether z lies within the exclusion radius of a pole."""
+        gaps = np.abs(np.asarray(z, dtype=complex)[..., None]
+                      - np.asarray(self.poles, dtype=complex))
+        return np.any(gaps <= np.asarray(self.exclusion_radii), axis=-1)
 
     def __call__(self, z):
-        if self.near_pole(z):
+        if np.any(self.near_pole(z)):
             raise PoleError(f"w has a pole near {z}")
-        f2 = self.basis.jet(2, z, 0)[0]
-        if f2 == 0:
-            raise PoleError(f"w has a pole at {z}")
-        return self.basis.jet(1, z, 0)[0] / f2
+        return self.basis.jet(1, z, 0)[0] / self._f2(z, 0)[0]
 
     def wprime(self, z):
         """w'(z) = 1/f2(z)^2, analytic across the poles of w."""
-        f2 = self.basis.jet(2, z, 0)[0]
-        if f2 == 0:
-            raise PoleError(f"pole of w at {z}")
+        f2 = self._f2(z, 0)[0]
         return 1.0 / (f2 * f2)
 
     def inv_wprime_abs(self, z):
@@ -85,17 +90,13 @@ class QuotientMap:
 
     def log_wprime_derivative(self, z):
         """(log w')' = w''/w' = -2 f2'/f2."""
-        f2, d2 = self.basis.jet(2, z, 1)
-        if f2 == 0:
-            raise PoleError(f"pole of w at {z}")
+        f2, d2 = self._f2(z, 1)
         return -2.0 * d2 / f2
 
     def jet3(self, z):
         """(w, w', w'', w''') from f1 and the order-2 jet of f2."""
         f1 = self.basis.jet(1, z, 0)[0]
-        f2, d2, dd2 = self.basis.jet(2, z, 2)
-        if f2 == 0:
-            raise PoleError(f"pole of w at {z}")
+        f2, d2, dd2 = self._f2(z, 2)
         w = f1 / f2
         w1 = 1.0 / (f2 * f2)
         h = -2.0 * d2 / f2
@@ -135,100 +136,34 @@ def stopping_wprime_abs(A, max_generation):
 
 
 # ---------------------------------------------------------------------------
-# analytic logarithm branches
-
-
-class LogBranch:
-    """A branch of log f fixed by its value at a base point.
-
-    Continuation is by multiplicative increments: walk straight from the
-    nearest cached waypoint, bisecting steps until each ratio stays inside
-    the principal-log half-plane.  exp(log f(z)) = f(z) holds wherever the
-    branch is evaluated; crossing a zero of f raises.
-    """
-
-    def __init__(self, f_jet, z0=0.0, base_value=None):
-        self._f = f_jet
-        v0 = f_jet(complex(z0))[0]
-        if v0 == 0:
-            raise PoleError("log branch based at a zero")
-        self._waypoints = [(complex(z0), cmath.log(v0) if base_value is None
-                            else complex(base_value))]
-
-    def _nearest(self, z):
-        return min(self._waypoints, key=lambda wp: abs(wp[0] - z))
-
-    def __call__(self, z, cache=True):
-        z = complex(z)
-        z_from, log_from = self._nearest(z)
-        value = self._continue(z_from, log_from, z, depth=0)
-        if cache:
-            self._waypoints.append((z, value))
-            if len(self._waypoints) > 4096:
-                del self._waypoints[1:2048]
-        return value
-
-    def _continue(self, z_from, log_from, z_to, depth):
-        if z_from == z_to:
-            return log_from
-        v_from = cmath.exp(log_from)
-        v_to = self._f(z_to)[0]
-        if v_to == 0:
-            raise PoleError(f"log branch hit a zero at {z_to}")
-        ratio = v_to / v_from
-        if abs(ratio - 1.0) < 0.5:
-            return log_from + cmath.log(ratio)
-        if depth > 60:
-            raise PoleError("log continuation failed to converge (zero on path?)")
-        z_mid = 0.5 * (z_from + z_to)
-        log_mid = self._continue(z_from, log_from, z_mid, depth + 1)
-        return self._continue(z_mid, log_mid, z_to, depth + 1)
-
-
-def log_on_circle(f_jet, r, n_points, base_log=None):
-    """Continued values of log f along |z| = r (n equispaced angles).
-
-    The branch starts from the radial continuation to r (angle 0) and walks
-    around the circle, so the returned array is a genuine single branch.
-    """
-    branch = LogBranch(f_jet) if base_log is None else base_log
-    out = np.empty(n_points, dtype=complex)
-    prev_z = r + 0.0j
-    prev_log = branch(prev_z, cache=False)
-    for k in range(n_points):
-        z = r * cmath.exp(1j * TWO_PI * k / n_points)
-        prev_log = branch._continue(prev_z, prev_log, z, depth=0)
-        out[k] = prev_log
-        prev_z = z
-    return out
-
-
-# ---------------------------------------------------------------------------
 # bounds and constants
 
 
 def pre_schwarzian_bound_check(h, eta, s, samples, poles=()):
     """Compare sup (1 - |a|^2) |w''(a)/w'(a)| against 6/min(eta, s).
 
-    ``h`` evaluates w''/w'; samples must keep pseudo-hyperbolic distance at
-    least s from every pole.  Returns (value, bound, passed, argmax).
+    ``h`` evaluates w''/w' elementwise and is called once, on all samples,
+    which must keep pseudo-hyperbolic distance at least s from every pole.
+    Returns (value, bound, passed, argmax), argmax the first sample of the
+    largest value; a NaN value fails, and no samples give (-inf, bound,
+    True, 0j).
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if not 0 < s < 1 and s != 1:
         raise ValueError("s must lie in (0, 1]")
-    value, arg = -np.inf, 0j
-    for a in samples:
-        a = complex(a)
-        if poles and rho_p_to_set(a, poles) < s * (1 - 1e-12):
-            raise ValueError(
-                f"sample {a} is pseudo-hyperbolically closer than {s} to a pole"
-            )
-        v = (1 - abs(a) ** 2) * abs(h(a))
-        if v > value:
-            value, arg = v, a
     bound = 6.0 / min(eta, s)
-    return value, bound, value <= bound + 1e-9, arg
+    a = np.asarray(samples, dtype=complex).ravel()
+    if a.size == 0:
+        return -np.inf, bound, True, 0j
+    near = rho_p_to_set(a, poles) < s * (1 - 1e-12)
+    if np.any(near):
+        raise ValueError(f"sample {complex(a[near][0])} is "
+                         f"pseudo-hyperbolically closer than {s} to a pole")
+    values = (1 - np.abs(a) ** 2) * np.abs(np.broadcast_to(h(a), a.shape))
+    k = int(np.argmax(values))  # the first NaN, if there is one
+    value = float(values[k])
+    return value, bound, value <= bound + 1e-9, complex(a[k])
 
 
 def defC_constant(t):
@@ -263,7 +198,7 @@ class Factorization:
     normalization: str = "log g = -(1/2) log w'"
 
     def g(self, z):
-        return cmath.exp(self.log_g(z))
+        return np.exp(self.log_g(z))
 
     def reconstruct(self, z):
         return self.g(z) * self.w_factor(z)
@@ -273,8 +208,9 @@ def factorize(quotient, alpha, beta, r_max=None):
     """Factor f = alpha f1 + beta f2 as g * W, W = alpha w + beta.
 
     Requires f2 zero-free on the working disc (the quotient has no poles
-    there).  log w' = -2 log f2 is taken on the same branch as log f2, so
-    exp(log g)^2 * w' = 1 holds identically.
+    there).  log g = log f2 comes from ``zeros.analytic_log`` and
+    log w' = -2 log f2 from the same call, so exp(log g)^2 * w' = 1 holds
+    identically; every callable of the result is elementwise.
     """
     r_max = quotient.r_max if r_max is None else r_max
     if any(abs(p) <= r_max for p in quotient.poles):
@@ -283,13 +219,12 @@ def factorize(quotient, alpha, beta, r_max=None):
         )
     alpha = complex(alpha)
     beta = complex(beta)
-    log_f2 = LogBranch(lambda z: quotient.basis.jet(2, z, 1))
 
     def log_g(z):
-        return log_f2(z)
+        return analytic_log(lambda u: quotient.basis.jet(2, u, 1), z)
 
     def log_wprime(z):
-        return -2.0 * log_f2(z)
+        return -2.0 * log_g(z)
 
     def w_factor(z):
         return alpha * quotient(z) + beta if alpha != 0 else beta
@@ -318,16 +253,15 @@ def bjest_check(f_jet, A_eval, r, n_theta=1 << 10, n_radial=48):
 
         r^2 |f'(0)/f(0)|^2   and   r^2 * integral_{|z|<r} |A|^2 (1-|z|^2)^3 dm
 
-    for a zero-free solution f.  Returns (lhs, (term1, term2), ratio); the
-    comparison constant is the fitted ratio, never assumed.
+    for a zero-free solution f, with log f from one ``analytic_log`` call
+    on the n_theta points of the circle.  Returns (lhs, (term1, term2),
+    ratio); the comparison constant is the fitted ratio, never assumed.
     """
     from .functionals import polar_quadrature
 
     v0, d0 = f_jet(0.0)
-    if v0 == 0:
-        raise PoleError("solution vanishes at the origin")
-    logs = log_on_circle(f_jet, r, n_theta)
-    logs = logs - cmath.log(v0)
+    circle = r * np.exp(1j * TWO_PI * np.arange(n_theta) / n_theta)
+    logs = analytic_log(f_jet, circle) - np.log(complex(v0))
     lhs = float(np.mean(np.abs(logs) ** 2))
     term1 = r * r * abs(d0 / v0) ** 2
     nodes, weights = polar_quadrature(r_max=r, n_radial=n_radial, n_theta=256)

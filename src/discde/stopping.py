@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import write_atomic
-from .geometry import CarlesonSquare, generation_squares, stolz_contains
+from .geometry import (CarlesonSquare, generation_squares, maximal_squares,
+                       stolz_contains)
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,10 +181,7 @@ def exhaustive_g0(wprime_abs, c0, eps0, max_generation):
         for sq in generation_squares(n):
             if wprime_abs(sq.z_q) <= threshold:
                 hits.append(sq)
-    return [
-        sq for sq in hits
-        if not any(sq.is_descendant_of(other) for other in hits)
-    ]
+    return maximal_squares(hits)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import expr
-from .geometry import rho_p
+from .geometry import maximal_squares, rho_p
 from .ode import make_basis, mobius_transfer
 from .functionals import (
     bloch_seminorm,
@@ -300,19 +300,16 @@ def run_s2(scenario):
             "S2 needs a coefficient whose normalized f2 is zero-free on the "
             f"working disc; poles found at {q.poles}"
         )
-    grid = [0.2, -0.35, 0.4j, -0.5j, 0.3 + 0.3j, -0.45 + 0.2j, 0.1 - 0.55j]
-    grid = [z for z in grid if abs(z) < scenario.rmax]
+    grid = np.array([0.2, -0.35, 0.4j, -0.5j, 0.3 + 0.3j, -0.45 + 0.2j,
+                     0.1 - 0.55j])
+    grid = grid[np.abs(grid) < scenario.rmax]
     for alpha, beta in ((1.0, 0.5), (0.0, 2.0), (1 + 0.5j, -0.3)):
         fac = factorize(q, alpha, beta)
-        resid = 0.0
-        branch_err = 0.0
-        targets = q.basis.solution(alpha, beta)(np.array(grid))
-        for z, target in zip(grid, targets):
-            resid = max(resid, abs(fac.reconstruct(z) - target))
-            branch_err = max(
-                branch_err,
-                abs(cmath.exp(fac.log_g(z)) ** 2 * q.wprime(z) - 1.0),
-            )
+        targets = q.basis.solution(alpha, beta)(grid)
+        resid = float(np.max(np.abs(fac.reconstruct(grid) - targets),
+                             initial=0.0))
+        branch_err = float(np.max(
+            np.abs(fac.g(grid) ** 2 * q.wprime(grid) - 1.0), initial=0.0))
         report.add(
             f"factorization-alpha={alpha}-beta={beta}",
             "all non-trivial solutions can be factorized as f = g W",
@@ -462,15 +459,10 @@ def run_s5(scenario):
         node.square.is_descendant_of(node.parent)
         for gen in forest.generations[1:] for node in gen
     )
-    disjoint = True
-    for gen in forest.generations:
-        squares = [n.square for n in gen]
-        for i in range(len(squares)):
-            for j in range(i + 1, len(squares)):
-                if (squares[i].is_descendant_of(squares[j])
-                        or squares[j].is_descendant_of(squares[i])
-                        or squares[i] == squares[j]):
-                    disjoint = False
+    disjoint = all(
+        len(set(squares)) == len(squares) == len(maximal_squares(squares))
+        for squares in ([n.square for n in gen] for gen in forest.generations)
+    )
     report.add(
         "forest-invariants",
         "every square of G_{n+1} is a strict dyadic descendant of exactly "

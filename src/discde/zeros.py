@@ -29,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 _MAX_CLUSTER = 6
 _NEWTON_TOL = 1e-12
 _MAX_COUNT_POINTS = 1 << 15
+# Negative frequencies of z f'/f below this share of its size: converged.
+_LOG_TAIL = 1e-13
 # Contour nudges off a zero or a non-finite value before a count gives up.
 _MAX_NUDGES = 16
 # ZeroSequence order: rounding far above the last-bit noise of a zero.
@@ -90,6 +92,38 @@ def _moments(f_jet, center, r, count, n):
     w = ders / vals * (zs - center)
     powers = (zs - center) ** np.arange(1, count + 1)[:, None]
     return np.mean(w * powers, axis=1)
+
+
+def analytic_log(f_jet, z):
+    """log f at a point or an array z, on the branch through the principal
+    log f(0), for f zero-free on |u| <= R = max |z|.
+
+    The FFT of u f'/f on |u| = R gives k c_k, the coefficients of
+    log f = sum c_k (u/R)^k; the point count doubles from 64 until the
+    negative frequencies, where only aliasing lands, are at rounding level.
+    Each level is one ``f_jet`` call, and f(0) one more.  ZeroLocationError
+    when f is 0 or not finite on the circle, when it converges with a
+    nonzero winding number, and when it does not by ``_MAX_COUNT_POINTS``.
+    """
+    z = np.asarray(z, dtype=complex)
+    r = float(np.max(np.abs(z), initial=0.0))
+    n = 64
+    while n <= _MAX_COUNT_POINTS:
+        zs, vals, ders = _values_on_circle(f_jet, 0.0, r, n)
+        if _degenerate(vals):
+            raise ZeroLocationError(f"f is 0 or not finite on |z| = {r}")
+        g = ders / vals * zs
+        spec = np.fft.fft(g) / n
+        winding = round(spec[0].real)
+        if np.max(np.abs(spec[n // 2 + 1:])) <= _LOG_TAIL * np.max(np.abs(g)):
+            if winding:
+                raise ZeroLocationError(f"f has {winding} zeros in |z| < {r}")
+            coeffs = spec[:n // 2] / np.maximum(np.arange(n // 2), 1)
+            coeffs[0] = np.log(complex(f_jet(0.0)[0]))
+            return np.polynomial.polynomial.polyval(z / r if r else z, coeffs)
+        n *= 2
+    raise ZeroLocationError(f"log f on |z| = {r} did not converge; "
+                            f"winding number {winding}")
 
 
 def _power_sums_to_poly(s):

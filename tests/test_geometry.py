@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from discde.geometry import (
     CarlesonSquare,
     generation_squares,
     lambda_threshold,
+    maximal_squares,
     phi,
     rho_p,
     rho_p_to_set,
@@ -69,6 +71,19 @@ def test_descendants():
     assert deep.is_descendant_of(q)
     assert not deep.is_descendant_of(CarlesonSquare(2, 1))
     assert not q.is_descendant_of(q)
+
+
+def test_maximal_squares_against_pairwise_test():
+    q, grand = CarlesonSquare(3, 2), CarlesonSquare(5, 6)
+    other = CarlesonSquare(3, 1)
+    assert maximal_squares([grand, other, q]) == [other, q]
+    rng = random.Random(3)
+    pool = [sq for n in range(2, 7) for sq in generation_squares(n)]
+    for _ in range(50):
+        sample = rng.sample(pool, 12)
+        expected = [sq for sq in sample
+                    if not any(sq.is_descendant_of(o) for o in sample)]
+        assert maximal_squares(sample) == expected
 
 
 def test_containment():

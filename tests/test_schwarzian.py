@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from discde.ode import make_basis
 from discde.schwarzian import (
-    LogBranch,
     PoleError,
     bjest_check,
     defC_constant,
     factorize,
-    log_on_circle,
     pre_schwarzian_bound_check,
     quotient_from_coefficient,
     roth_critical_points,
@@ -18,6 +18,7 @@ from discde.schwarzian import (
     roth_value_map,
     schwarzian,
 )
+from discde.zeros import ZeroLocationError, analytic_log
 
 
 def koebe_jet3(z):
@@ -123,26 +124,72 @@ def test_transfer_cocycle_identities():
 
 
 def test_log_branch_exponential():
-    br = LogBranch(lambda z: (cmath.exp(z), cmath.exp(z)))
+    f_jet = lambda z: (np.exp(z), np.exp(z))
     for z in (0.5, 0.9j, -0.7 + 0.2j, -0.9):
-        assert abs(br(z) - z) < 1e-9
-        assert abs(cmath.exp(br(z)) - cmath.exp(z)) < 1e-9
+        assert abs(analytic_log(f_jet, z) - z) < 1e-9
+        assert abs(cmath.exp(analytic_log(f_jet, z)) - cmath.exp(z)) < 1e-9
 
 
 def test_log_branch_winds_continuously():
     # f(z) = exp(4z): log should follow 4z, not principal values
-    br = LogBranch(lambda z: (cmath.exp(4 * z), 4 * cmath.exp(4 * z)))
-    logs = log_on_circle(lambda z: (cmath.exp(4 * z), 4 * cmath.exp(4 * z)),
-                         0.9, 128)
     thetas = 2 * math.pi * np.arange(128) / 128
-    assert np.max(np.abs(logs - 4 * 0.9 * np.exp(1j * thetas))) < 1e-8
+    circle = 0.9 * np.exp(1j * thetas)
+    logs = analytic_log(lambda z: (np.exp(4 * z), 4 * np.exp(4 * z)), circle)
+    assert np.max(np.abs(logs.imag)) > math.pi  # past the principal branch
+    assert np.max(np.abs(logs - 4 * circle)) < 1e-12
 
 
 def test_log_branch_rejects_zero_crossing():
     f = lambda z: (z - 0.5, 1.0)
-    br = LogBranch(f)
+    with pytest.raises(ZeroLocationError, match="0 or not finite"):
+        analytic_log(f, 0.5)  # the zero on the circle
+    with pytest.raises(ZeroLocationError, match="winding number 1"):
+        analytic_log(f, np.array([0.1, -0.7j]))  # the zero inside it
+    with pytest.raises(ZeroLocationError, match="1 zeros"):
+        analytic_log(lambda z: (z * np.exp(z), (1 + z) * np.exp(z)), 0.5)
+
+
+@given(st.floats(0.5, 6.0), st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+@settings(max_examples=25, deadline=None)
+def test_log_of_cosine_solution(k, frac, theta):
+    # A = k^2 has f2 = cos kz, zero-free on |z| < pi/(2k)
+    f2 = make_basis(repr(k * k), ics=((0.0, 1.0), (1.0, 0.0)), r_max=0.97).f2
+    radius = min(0.95, math.pi / (2 * k)) * frac
+    zs = radius * np.exp(1j * (theta + np.array([0.0, 1.0, 2.5, 4.0])))
+    zs[0] *= 0.3
+    values = f2.jet(zs, 0)[0]
+    assert np.max(np.abs(np.exp(analytic_log(lambda z: f2.jet(z, 1), zs))
+                         - values)) <= 1e-12 * np.max(np.abs(values))
+
+
+def test_bjest_evaluator_calls():
+    f2 = quotient_from_coefficient("0.5/(1-z)", r_max=0.95).basis.f2
+    calls = []
+
+    def f_jet(z):
+        calls.append(np.size(z))
+        return f2.jet(z, 1)
+
+    bjest_check(f_jet, lambda zs: 0.5 / (1 - zs), 0.9)
+    assert len(calls) <= 8
+
+
+def test_quotient_methods_elementwise():
+    q = quotient_from_coefficient("25", r_max=0.9)
+    zs = np.array([0.1 + 0.05j, -0.2, 0.45j, 0.6 - 0.3j, -0.5 - 0.5j])
+    for method in (q, q.wprime, q.inv_wprime_abs, q.log_wprime_derivative,
+                   q.schwarzian_at, q.near_pole):
+        batch = np.asarray(method(zs))
+        single = np.array([method(z) for z in zs])
+        assert batch.shape == zs.shape
+        assert np.allclose(batch, single, rtol=1e-12, atol=0)
+    batch = np.array(q.jet3(zs))
+    single = np.array([q.jet3(z) for z in zs]).T
+    assert np.allclose(batch, single, rtol=1e-12, atol=0)
+    near = np.array([q.poles[0] + 1e-4, 0.1])
+    assert q.near_pole(near).tolist() == [True, False]
     with pytest.raises(PoleError):
-        br(0.5)
+        q(near)
 
 
 def test_defc_constant():
@@ -194,6 +241,20 @@ def test_pre_schwarzian_bound_koebe():
     assert abs(arg.imag) < 1e-9
 
 
+def test_pre_schwarzian_nan_fails_closed():
+    calls = []
+
+    def h(a):
+        calls.append(a)
+        return float("nan")
+
+    value, bound, ok, _ = pre_schwarzian_bound_check(h, 1.0, 1.0, [0.1, 0.2])
+    assert math.isnan(value) and bound == 6.0 and not ok
+    assert len(calls) == 1
+    assert pre_schwarzian_bound_check(h, 1.0, 1.0, []) == (-np.inf, 6.0,
+                                                          True, 0j)
+
+
 def test_pre_schwarzian_rejects_near_pole_samples():
     with pytest.raises(ValueError):
         pre_schwarzian_bound_check(lambda a: 0.0, 1.0, 0.5, [0.45],
@@ -202,7 +263,7 @@ def test_pre_schwarzian_rejects_near_pole_samples():
 
 def test_bjest_exponential():
     lhs, (t1, t2), ratio = bjest_check(
-        lambda z: (cmath.exp(z), cmath.exp(z)),
+        lambda z: (np.exp(z), np.exp(z)),
         lambda zs: np.zeros_like(zs), 0.9)
     # log f = z: Parseval gives mean |z|^2 = r^2, matching the first term
     assert lhs == pytest.approx(0.81, abs=1e-8)

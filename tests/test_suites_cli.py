@@ -185,6 +185,32 @@ def test_s2_pole_message_prints_plain_numbers():
     assert "np." not in message
 
 
+def test_cli_coefficient_with_leading_minus(tmp_path):
+    code = main(["verify", "S7", "--coefficient", "-4*z/(1-z)^4",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "report_S7.json").read_text())
+    assert data["environment"]["coefficient"] == "-4*z/(1-z)^4"
+
+
+def test_s5_reports_a_square_over_its_grand_descendant(monkeypatch):
+    from discde import suites
+    from discde.geometry import CarlesonSquare, root_square
+    from discde.stopping import StoppingNode
+
+    def overlapping_generation(forest):
+        if len(forest.generations) == 1:
+            forest.generations.append([
+                StoppingNode(CarlesonSquare(3, 2), 1.0, 1, root_square()),
+                StoppingNode(CarlesonSquare(5, 6), 1.0, 1, root_square())])
+
+    monkeypatch.setattr(suites, "refine_generation", overlapping_generation)
+    report = run_suite("S5", Scenario(coefficient="1", max_generation=6))
+    check = next(c for c in report.checks if c.name == "forest-invariants")
+    assert check.values["nested"] and not check.values["disjoint"]
+    assert check.passed is False
+
+
 def test_cli_pole_inside_disc_fails_with_one_line(tmp_path, capsys):
     code = main(["zeros", "--coefficient", "1/(z-0.5)", "--out", str(tmp_path)])
     err = capsys.readouterr().err
