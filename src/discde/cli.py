@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from ._files import write_atomic
 from .expr import ExprError
 from .ode import ContinuationError, make_basis
 from .functionals import fp_norm, growth_norm
+from .geometry import unit_roots
 from .schwarzian import quotient_from_coefficient, stopping_wprime_abs
 from .stopping import (
     build_g0,
@@ -113,9 +113,7 @@ def _emit(scenario, stem, rows, header):
 
 def cmd_solve(scenario):
     basis = make_basis(scenario.coefficient, r_max=max(scenario.rmax, 0.97))
-    zs = np.array([r * complex(math.cos(2 * math.pi * k / 32),
-                               math.sin(2 * math.pi * k / 32))
-                   for r in scenario.radii for k in range(32)])
+    zs = (np.array(scenario.radii)[:, None] * unit_roots(32)).ravel()
     v1, d1 = basis.jet(1, zs, 1)
     v2, d2 = basis.jet(2, zs, 1)
     rows = np.column_stack([part for c in (zs, v1, d1, v2, d2)
@@ -138,6 +136,8 @@ def cmd_zeros(scenario):
 
 
 def cmd_norms(scenario):
+    if not scenario.alpha >= 0:
+        raise ScenarioError(f"growth exponent alpha = {scenario.alpha} must be >= 0")
     a_eval = scenario.coefficient_eval()
     gn = growth_norm(a_eval, scenario.alpha)
     f1 = fp_norm(a_eval, 1.0)
@@ -167,6 +167,7 @@ def cmd_quotient(scenario):
 
 
 def cmd_stoptime(scenario):
+    alpha = scenario.stolz_aperture()
     wprime_abs = stopping_wprime_abs(scenario.coefficient,
                                      scenario.max_generation)
     forest = build_g0(wprime_abs, scenario.c0, scenario.eps0,
@@ -176,7 +177,7 @@ def cmd_stoptime(scenario):
     forest_path = _out_path(scenario, "forest.jsonl")
     dump_forest_jsonl(forest, forest_path)
     print(forest_path)
-    _, samples = nontangential_max_inv(wprime_abs, alpha=scenario.alpha,
+    _, samples = nontangential_max_inv(wprime_abs, alpha=alpha,
                                        n_theta=256, r_max=0.995, n_radii=16)
     dist_path = _out_path(scenario, "distribution.csv")
     dump_distribution_csv(samples, dist_path)

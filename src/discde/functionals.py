@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dyadic_edges, generation_squares
+from .geometry import dyadic_edges, generation_squares, unit_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,16 +62,12 @@ class SupremumReport:
 # circle means
 
 
-def _circle_values(f, r, n):
-    zs = r * np.exp(1j * (TWO_PI * np.arange(n) / n))
-    return np.asarray(f(zs), dtype=complex)
-
-
 def _adaptive_circle_mean(integrand_of_values, f, r, n_points, tol, max_points):
-    n = n_points
-    prev = None
+    if not 0 < r < 1:
+        raise ValueError("radius must lie in (0, 1)")
+    n, prev = n_points, None
     while True:
-        values = _circle_values(f, r, n)
+        values = np.asarray(f(r * unit_roots(n)), dtype=complex)
         mean = float(np.mean(integrand_of_values(values)))
         if prev is not None and abs(mean - prev) <= tol * (1 + abs(mean)):
             return mean
@@ -88,8 +84,6 @@ def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
     of values.  Periodic analytic integrands converge geometrically; points
     double until the relative change drops below tol.
     """
-    if not 0 < r < 1:
-        raise ValueError("radius must lie in (0, 1)")
     if p <= 0:
         raise ValueError("exponent p must be positive")
     if n_points < 64 or n_points & (n_points - 1):
@@ -100,8 +94,6 @@ def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
 def nevanlinna_m(f, r, n_points=64, tol=1e-8, max_points=1 << 16):
     """Proximity function m(r, f): circle mean of log+ |f|; ``f`` is a
     vectorized evaluator, as for circle_mean."""
-    if not 0 < r < 1:
-        raise ValueError("radius must lie in (0, 1)")
     return _adaptive_circle_mean(
         lambda v: np.maximum(np.log(np.maximum(np.abs(v), 1e-300)), 0.0),
         f, r, n_points, tol, max_points,
@@ -117,24 +109,21 @@ def default_sup_radii(depth=10, r_cap=0.999):
     return [r for r in radii if r <= r_cap]
 
 
-def _grid_sup(values_on_circle, radii, n_theta):
-    """Sweep circles, track per-radius maxima and the global argmax."""
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
-    best, best_z = -np.inf, 0j
-    per_radius = []
-    for r in radii:
-        zs = r * np.exp(1j * thetas) if r > 0 else np.zeros(1, dtype=complex)
-        vals = values_on_circle(zs)
-        k = int(np.argmax(vals))
-        per_radius.append((r, float(vals[k])))
-        if vals[k] > best:
-            best, best_z = float(vals[k]), complex(zs[k])
-    return best, best_z, per_radius
+def _grid_sup(values_on_points, radii, n_theta):
+    """Sweep the radii x unit_roots(n_theta) grid in one call of the
+    elementwise ``values_on_points`` on its points as a 1-D array.
+    Returns (best, argmax, [(radius, max over its circle)]), the argmax
+    the first maximum in radius-then-angle order; a NaN value wins."""
+    zs = (np.asarray(radii, dtype=float)[:, None] * unit_roots(n_theta)).ravel()
+    vals = np.asarray(values_on_points(zs), dtype=float)
+    k = int(np.argmax(vals))
+    per_radius = vals.reshape(len(radii), n_theta).max(axis=1)
+    return float(vals[k]), complex(zs[k]), list(zip(radii, per_radius.tolist()))
 
 
-def _local_refine(values_on_points, z0, scale, rounds=6, n=9):
-    """Nested grid search around an argmax candidate."""
-    best, best_z = float(values_on_points(np.array([z0]))[0]), z0
+def _local_refine(values_on_points, best, best_z, scale, rounds=6, n=9):
+    """Nested grid search around the sweep's maximum ``best`` at ``best_z``,
+    which it does not evaluate again: one call per round."""
     for _ in range(rounds):
         offs = np.linspace(-scale, scale, n)
         zs = best_z + (offs[:, None] + 1j * offs[None, :]).ravel()
@@ -166,7 +155,7 @@ def growth_norm(A, alpha, radii=None, n_theta=256, refine=True):
     best, best_z, per_radius = _grid_sup(on_points, radii, n_theta)
     if refine and abs(best_z) > 0:
         scale = max((1 - abs(best_z)) / 2, TWO_PI * abs(best_z) / n_theta)
-        best, best_z = _local_refine(on_points, best_z, scale)
+        best, best_z = _local_refine(on_points, best, best_z, scale)
     return SupremumReport(best, best_z, per_radius)
 
 
@@ -175,7 +164,7 @@ def bloch_seminorm(fprime, radii=None, n_theta=256, refine=True):
     return growth_norm(fprime, 1.0, radii=radii, n_theta=n_theta, refine=refine)
 
 
-def normality_sigma(f_jet, radii=None, n_theta=64, refine=False):
+def normality_sigma(f_jet, radii=None, n_theta=64):
     """Spherical-derivative supremum sigma(f): sup (1-|z|^2)|f'|/(1+|f|^2).
 
     ``f_jet`` is a vectorized evaluator: it maps an array of points to the
@@ -188,10 +177,7 @@ def normality_sigma(f_jet, radii=None, n_theta=64, refine=False):
         v, dv = f_jet(zs)
         return (1 - np.abs(zs) ** 2) * np.abs(dv) / (1 + np.abs(v) ** 2)
 
-    best, best_z, per_radius = _grid_sup(on_points, radii, n_theta)
-    if refine and abs(best_z) > 0:
-        best, best_z = _local_refine(on_points, best_z, (1 - abs(best_z)) / 2)
-    return SupremumReport(best, best_z, per_radius)
+    return SupremumReport(*_grid_sup(on_points, radii, n_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +191,19 @@ def polar_quadrature(r_max=0.999, n_radial=64, n_theta=256):
     annulus, singular only at the boundary) times a uniform trapezoid in the
     angle.  Returns (nodes, weights) with sum(w * g(z)) ~ integral g dm.
     """
-    edges = dyadic_edges(0.0, r_max)
+    radii, rdr = _radial_rule(0.0, r_max, n_radial)
+    nodes = (radii[:, None] * unit_roots(n_theta)).ravel()
+    return nodes, np.repeat(rdr * (TWO_PI / n_theta), n_theta)
+
+
+def _radial_rule(lo, r_max, n_radial):
+    """(radii, r dr weights) of n_radial-point Gauss-Legendre on each
+    annulus of dyadic_edges(lo, r_max), annulus by annulus outward."""
+    edges = np.array(dyadic_edges(lo, r_max))
+    a, b = edges[:-1, None], edges[1:, None]
     x, wx = np.polynomial.legendre.leggauss(n_radial)
-    thetas = TWO_PI * np.arange(n_theta) / n_theta
-    e = np.exp(1j * thetas)
-    nodes, weights = [], []
-    for lo, hi in zip(edges, edges[1:]):
-        rr = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        ww = 0.5 * (hi - lo) * wx * rr * (TWO_PI / n_theta)
-        nodes.append((rr[:, None] * e[None, :]).ravel())
-        weights.append(np.repeat(ww, n_theta))
-    return np.concatenate(nodes), np.concatenate(weights)
+    rr = 0.5 * (b - a) * x + 0.5 * (b + a)
+    return rr.ravel(), (0.5 * (b - a) * wx * rr).ravel()
 
 
 def area_integral(g, nodes, weights):
@@ -250,7 +238,7 @@ def default_a_net(max_depth=10, base_angles=8):
     """Pseudo-hyperbolically spread net {r_j e^(i theta)}: r_j = 1 - 2^-j with
     2^(j+3) angles per ring (boundary-concentrated, Möbius-aware)."""
     return [a for r, n in _net_rings(max_depth, base_angles)
-            for a in r * np.exp(1j * TWO_PI * np.arange(n) / n)]
+            for a in r * unit_roots(n)]
 
 
 @dataclass
@@ -339,22 +327,17 @@ def carleson_embedding_constant(mu, r_max=0.999, n_radial=64, n_theta=256):
 
 
 def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
-    """mu(Q) by polar quadrature over the Carleson square, truncated at r_max."""
+    """mu(Q) truncated at r_max in one call of ``mu``: the radial rule of
+    polar_quadrature from Q's inner radius times n_theta arc midpoints."""
     lo = square.inner_radius
     if lo >= r_max:
         return 0.0
-    edges = dyadic_edges(lo, r_max)
-    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    radii, rdr = _radial_rule(lo, r_max, n_radial)
     t_lo, t_hi = square.theta_lo, square.theta_hi
     thetas = t_lo + (t_hi - t_lo) * (np.arange(n_theta) + 0.5) / n_theta
-    e = np.exp(1j * thetas)
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        rr = 0.5 * (b - a) * x + 0.5 * (b + a)
-        ww = 0.5 * (b - a) * wx * rr * ((t_hi - t_lo) / n_theta)
-        nodes = (rr[:, None] * e[None, :]).ravel()
-        total += float(np.sum(np.repeat(ww, n_theta) * np.asarray(mu(nodes), dtype=float)))
-    return total
+    nodes = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    weights = np.repeat(rdr * ((t_hi - t_lo) / n_theta), n_theta)
+    return float(np.sum(weights * np.asarray(mu(nodes), dtype=float)))
 
 
 def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64):

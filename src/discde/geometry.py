@@ -61,6 +61,12 @@ def dyadic_edges(lo, r_max):
     return edges
 
 
+def unit_roots(n):
+    """e^(2 pi i k/n) for k = 0..n-1 in that order: the trapezoid nodes of
+    every circle in the package, in the index order its FFTs rely on."""
+    return np.exp(1j * TWO_PI * np.arange(n) / n)
+
+
 def stolz_contains(theta, alpha, z):
     """Membership in the non-tangential region |z - e^(i theta)| <= alpha (1 - |z|),
     elementwise on a point or an array of points."""

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import rho_p_to_set
+from .geometry import rho_p_to_set, unit_roots
 from .zeros import analytic_log, find_zeros
-
-TWO_PI = 2.0 * math.pi
 
 
 class PoleError(ZeroDivisionError):
@@ -253,20 +251,19 @@ def bjest_check(f_jet, A_eval, r, n_theta=1 << 10, n_radial=48):
 
         r^2 |f'(0)/f(0)|^2   and   r^2 * integral_{|z|<r} |A|^2 (1-|z|^2)^3 dm
 
-    for a zero-free solution f, with log f from one ``analytic_log`` call
-    on the n_theta points of the circle.  Returns (lhs, (term1, term2),
-    ratio); the comparison constant is the fitted ratio, never assumed.
+    for a zero-free solution f: log f from one ``analytic_log`` call on the
+    n_theta points of the circle, the integral from weighted_area_integral.
+    Returns (lhs, (term1, term2), ratio); the comparison constant is the
+    fitted ratio, never assumed.
     """
-    from .functionals import polar_quadrature
+    from .functionals import weighted_area_integral
 
     v0, d0 = f_jet(0.0)
-    circle = r * np.exp(1j * TWO_PI * np.arange(n_theta) / n_theta)
-    logs = analytic_log(f_jet, circle) - np.log(complex(v0))
+    logs = analytic_log(f_jet, r * unit_roots(n_theta)) - np.log(complex(v0))
     lhs = float(np.mean(np.abs(logs) ** 2))
     term1 = r * r * abs(d0 / v0) ** 2
-    nodes, weights = polar_quadrature(r_max=r, n_radial=n_radial, n_theta=256)
-    avals = np.abs(np.asarray(A_eval(nodes), dtype=complex)) ** 2
-    term2 = r * r * float(np.sum(weights * avals * (1 - np.abs(nodes) ** 2) ** 3))
+    term2 = r * r * weighted_area_integral(A_eval, 2, 3, r_maxes=(r,),
+                                           n_radial=n_radial)[0]
     rhs = term1 + term2
     ratio = 0.0 if lhs == 0.0 and rhs == 0.0 else lhs / rhs
     return lhs, (term1, term2), ratio

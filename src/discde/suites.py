@@ -12,11 +12,12 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field, asdict
+from itertools import combinations
 
 import numpy as np
 
 from . import expr
-from .geometry import maximal_squares, rho_p
+from .geometry import maximal_squares, rho_p, unit_roots
 from .ode import make_basis, mobius_transfer
 from .functionals import (
     bloch_seminorm,
@@ -44,10 +45,9 @@ from .stopping import (
     nontangential_max_inv,
     predicted_p,
     refine_generation,
+    stopping_threshold,
     weak_lp_fit,
 )
-
-TWO_PI = 2.0 * math.pi
 
 SUITE_IDS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7")
 
@@ -74,7 +74,6 @@ class Scenario:
     """Configuration for one verification run."""
 
     coefficient: str = "1"
-    ics: tuple = None          # ((f0, df0), (g0, dg0)) or None for defaults
     rmax: float = 0.95
     tol: float = 1e-8
     max_generation: int = 12
@@ -96,7 +95,17 @@ class Scenario:
                 raise ScenarioError(f"unknown suite {s!r}")
         if self.fmt not in ("json", "csv"):
             raise ScenarioError("format must be json or csv")
+        try:
+            stopping_threshold(self.c0, self.eps0)
+        except ValueError as exc:
+            raise ScenarioError(f"c0 = {self.c0}, eps0 = {self.eps0}: {exc}")
         expr.parse_expr(self.coefficient)  # fail fast on bad expressions
+
+    def stolz_aperture(self):
+        """alpha as the Stolz aperture of S5 and stoptime: it must exceed 1."""
+        if not self.alpha > 1:
+            raise ScenarioError(f"Stolz aperture alpha = {self.alpha} must exceed 1")
+        return self.alpha
 
     def coefficient_eval(self):
         node = expr.parse_expr(self.coefficient)
@@ -303,6 +312,8 @@ def run_s2(scenario):
     grid = np.array([0.2, -0.35, 0.4j, -0.5j, 0.3 + 0.3j, -0.45 + 0.2j,
                      0.1 - 0.55j])
     grid = grid[np.abs(grid) < scenario.rmax]
+    if not len(grid):
+        raise ScenarioError(f"S2's grid lies outside rmax = {scenario.rmax}")
     for alpha, beta in ((1.0, 0.5), (0.0, 2.0), (1 + 0.5j, -0.3)):
         fac = factorize(q, alpha, beta)
         targets = q.basis.solution(alpha, beta)(grid)
@@ -356,7 +367,7 @@ def run_s3(scenario):
         {"seminorm": bmoa.value, "argmax": complex(bmoa.argmax_a)},
         passed=math.isfinite(bmoa.value),
     )
-    bloch = bloch_seminorm(dlog_f2, radii=(0.0, 0.5, 0.75, 0.875, 0.9375),
+    bloch = bloch_seminorm(dlog_f2, radii=default_sup_radii(depth=4),
                            n_theta=64, refine=False)
     report.add(
         "log-f-bloch",
@@ -405,10 +416,9 @@ def run_s4(scenario):
         passed=math.isfinite(deriv_sup),
     )
     c = 0.3
-    on_discs = np.array([
-        z_n + frac * (c * (1 - abs(z_n))) * cmath.exp(1j * TWO_PI * k / 8)
-        for z_n in zeros for frac in (0.5, 0.9) for k in range(8)
-    ], dtype=complex)
+    on_discs = np.array([z_n + frac * (c * (1 - abs(z_n))) * unit_roots(8)
+                         for z_n in zeros for frac in (0.5, 0.9)],
+                        dtype=complex).ravel()
     disc_sup = float(np.max(np.abs(f(on_discs[np.abs(on_discs) < 1])),
                             initial=0.0))
     report.add(
@@ -435,6 +445,7 @@ def run_s5(scenario):
     """Stopping-time generations for |w'| = |f2|^{-2}, their invariants,
     and the weak-L^p tail of the non-tangential maximal function of 1/w'."""
     report = SuiteReport("S5")
+    alpha = scenario.stolz_aperture()
     wprime_abs = stopping_wprime_abs(scenario.coefficient,
                                      scenario.max_generation)
     forest = build_g0(wprime_abs, scenario.c0, scenario.eps0,
@@ -491,7 +502,7 @@ def run_s5(scenario):
         passed=True,
     )
     thetas, samples = nontangential_max_inv(
-        wprime_abs, alpha=scenario.alpha, n_theta=256, r_max=0.995,
+        wprime_abs, alpha=alpha, n_theta=256, r_max=0.995,
         n_radii=16,
     )
     try:
@@ -520,15 +531,16 @@ def run_s6(scenario):
     obstruction: critical points and desk-scale surjectivity."""
     report = SuiteReport("S6")
     crit = roth_critical_points()
-    target = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
-    crit_err = max(abs(a - b) for a, b in zip(sorted(crit, key=lambda z: (round(z.real, 9), round(z.imag, 9))),
-                                              sorted(target, key=lambda z: (round(z.real, 9), round(z.imag, 9)))))
+    # R'(c) = 1 - c^-3 must vanish at three distinct points
+    crit_err = max((abs(1 - c ** -3) for c in crit), default=math.inf)
+    distinct = len(crit) == 3 and all(abs(a - b) > 1e-6
+                                      for a, b in combinations(crit, 2))
     report.add(
         "critical-points",
         "the critical points of R are the three cube roots of unity",
-        {"max_error": crit_err, "value_at_1": roth_map(1.0)},
+        {"max_error": crit_err, "distinct": distinct, "value_at_1": roth_map(1.0)},
         tolerance=1e-12,
-        passed=crit_err <= 1e-12 and abs(roth_map(1.0) - 1.5) <= 1e-12,
+        passed=distinct and crit_err <= 1e-12 and abs(roth_map(1.0) - 1.5) <= 1e-12,
     )
     rng = np.random.default_rng(20260823)
     misses = 0

@@ -21,9 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import dyadic_edges, rho_p
-
-TWO_PI = 2.0 * math.pi
+from .geometry import dyadic_edges, rho_p, unit_roots
 
 # Moment localization degrades beyond a handful of zeros per region.
 _MAX_CLUSTER = 6
@@ -43,7 +41,7 @@ class ZeroLocationError(RuntimeError):
 
 def _values_on_circle(f_jet, center, r, n):
     """(f, f') on n equispaced points of |z - center| = r, in one call."""
-    zs = center + r * np.exp(1j * TWO_PI * np.arange(n) / n)
+    zs = center + r * unit_roots(n)
     vals, ders = f_jet(zs)
     return zs, vals, ders
 
@@ -107,6 +105,8 @@ def analytic_log(f_jet, z):
     """
     z = np.asarray(z, dtype=complex)
     r = float(np.max(np.abs(z), initial=0.0))
+    if r < np.finfo(float).tiny:  # 1/R overflows; log f is log f(0) there
+        r = 0.0
     n = 64
     while n <= _MAX_COUNT_POINTS:
         zs, vals, ders = _values_on_circle(f_jet, 0.0, r, n)

@@ -13,6 +13,7 @@ from discde.functionals import (
     carleson_embedding_constant,
     circle_mean,
     default_a_net,
+    default_sup_radii,
     fp_norm,
     growth_norm,
     measure_of_square,
@@ -22,6 +23,7 @@ from discde.functionals import (
     weighted_area_integral,
 )
 from discde.functionals import _net_values, _weighted_quadrature
+from discde.schwarzian import bjest_check
 from discde.geometry import CarlesonSquare, phi
 
 
@@ -211,3 +213,104 @@ def test_net_suprema_of_non_finite_density_are_nan(bad):
     assert math.isnan(fp_norm(lambda zs: density(zs) + 0j, 1.0).value)
     assert math.isnan(
         carleson_embedding_constant(MeasureDensity(density)).value)
+
+
+class Recording:
+    """Evaluator that records the points of every call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, zs):
+        self.calls.append(np.array(zs, copy=True))
+        return self.fn(zs)
+
+
+def reference_sweep(on_points, radii, n_theta):
+    """Circle by circle, the first strict maximum kept across radii."""
+    best, best_z, per_radius = -np.inf, 0j, []
+    for r in radii:
+        zs = r * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+        vals = on_points(zs)
+        k = int(np.argmax(vals))
+        per_radius.append((r, float(vals[k])))
+        if vals[k] > best:
+            best, best_z = float(vals[k]), complex(zs[k])
+    return best, best_z, per_radius
+
+
+def test_sup_sweeps_make_one_call_on_a_flat_grid():
+    a = Recording(lambda zs: 0.5 / (1 - zs))
+    growth_norm(a, 2.0, refine=False)
+    bloch_seminorm(a, refine=False)
+    f_jet = Recording(lambda zs: (np.sin(zs), np.cos(zs)))
+    normality_sigma(f_jet)
+    grid = len(default_sup_radii()) * 256
+    assert [c.shape for c in a.calls] == [(grid,), (grid,)]
+    assert [c.shape for c in f_jet.calls] == [(len(default_sup_radii(8)) * 64,)]
+
+
+def test_growth_norm_refinement_does_not_evaluate_the_maximum_again():
+    a = Recording(lambda zs: 0.5 / (1 - zs))
+    sweep = growth_norm(a, 2.0, refine=False)
+    a.calls.clear()
+    rep = growth_norm(a, 2.0)
+    assert len(a.calls) == 1 + 6  # the sweep, then one call per round
+    assert a.calls[0].shape == (len(default_sup_radii()) * 256,)
+    assert all(c.size > 1 for c in a.calls[1:])
+    assert rep.value >= sweep.value
+
+
+@pytest.mark.parametrize("fn, alpha", [
+    (lambda zs: 0.5 / (1 - zs), 2.0),
+    (lambda zs: -4 * zs / (1 - zs) ** 4, 2.0),
+    (lambda zs: np.ones_like(zs), 2.0),  # ties: the origin comes first
+    (lambda zs: np.exp(3 * zs), 1.0),
+])
+def test_grid_sweep_matches_a_circle_by_circle_loop(fn, alpha):
+    def on_points(zs):
+        return (1.0 - np.abs(zs) ** 2) ** alpha * np.abs(fn(zs))
+
+    radii = [0.0, 0.3, 0.5, 0.75, 0.9]
+    rep = growth_norm(fn, alpha, radii=radii, n_theta=64, refine=False)
+    best, best_z, per_radius = reference_sweep(on_points, radii, 64)
+    assert [r for r, _ in rep.per_radius] == radii
+    assert [v for _, v in rep.per_radius] == pytest.approx(
+        [v for _, v in per_radius], rel=1e-12)
+    assert rep.value == pytest.approx(best, rel=1e-12)
+    assert abs(rep.argmax - best_z) <= 1e-12
+
+
+def test_normality_sigma_matches_a_circle_by_circle_loop():
+    def f_jet(zs):
+        return np.exp(2 * zs), 2 * np.exp(2 * zs)
+
+    def on_points(zs):
+        v, dv = f_jet(zs)
+        return (1 - np.abs(zs) ** 2) * np.abs(dv) / (1 + np.abs(v) ** 2)
+
+    radii = [0.0, 0.25, 0.5, 0.75]
+    rep = normality_sigma(f_jet, radii=radii, n_theta=48)
+    best, best_z, per_radius = reference_sweep(on_points, radii, 48)
+    assert [v for _, v in rep.per_radius] == pytest.approx(
+        [v for _, v in per_radius], rel=1e-12)
+    assert rep.value == pytest.approx(best, rel=1e-12)
+    assert abs(rep.argmax - best_z) <= 1e-12
+
+
+def test_bjest_area_term_is_the_weighted_area_integral():
+    a = lambda zs: 0.5 / (1 - zs)
+    r = 0.7
+    _, (_, term2), _ = bjest_check(lambda z: (np.exp(z), np.exp(z)), a, r)
+    assert term2 == r * r * weighted_area_integral(
+        a, 2, 3, r_maxes=(r,), n_radial=48)[0]
+
+
+def test_measure_of_square_makes_one_call():
+    mu = Recording(lambda zs: np.ones(len(zs)))
+    q = CarlesonSquare(3, 2)
+    value = measure_of_square(MeasureDensity(mu), q, r_max=0.9999)
+    assert len(mu.calls) == 1
+    # area of the box: (theta_hi - theta_lo) (r_max^2 - inner^2) / 2
+    expected = (q.theta_hi - q.theta_lo) * (0.9999 ** 2 - q.inner_radius ** 2) / 2
+    assert value == pytest.approx(expected, rel=1e-12)

@@ -1,6 +1,7 @@
-"""Source hygiene: no unused module-level imports in the package, every
-name the package exports resolves, and every function and method the
-benchmark tracer (perfbench/tracer.py) wraps still exists to be wrapped."""
+"""Source hygiene: no unused module-level imports in the package, no
+private module-level helper that nothing references, every name the
+package exports resolves, and every function and method the benchmark
+tracer (perfbench/tracer.py) wraps still exists to be wrapped."""
 
 import ast
 import importlib
@@ -42,6 +43,51 @@ def test_no_unused_module_level_imports():
     unused = [u for path in sorted(PACKAGE.glob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and assignments named _x (one
+    leading underscore) of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(tree, skip=None):
+    """Names read, attributes taken and names imported anywhere in the
+    tree outside the ``skip`` node."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unreferenced = []
+    for name, tree in trees.items():
+        for helper, node in _private_definitions(tree):
+            used = any(helper in _references(other, node if other is tree
+                                             else None)
+                       for other in trees.values())
+            if not used:
+                unreferenced.append(f"{name}:{node.lineno} {helper}")
+    assert unreferenced == []
 
 
 def test_exports_resolve():

@@ -306,3 +306,10 @@ def test_roth_surjective_sampling():
         roots = roth_value_map(w)
         assert roots
         assert min(abs(roth_map(z) - w) for z in roots) < 1e-6 * max(1, abs(w))
+
+
+def test_analytic_log_at_subnormal_radius_is_log_f0():
+    # 1/R overflows for a subnormal R, so the circle would give NaN
+    zs = 2.2250738585e-313 * np.array([0.3, 1j, -1.0])
+    logs = analytic_log(lambda z: (2 * np.exp(z), 2 * np.exp(z)), zs)
+    assert np.all(logs == np.log(2.0))

@@ -272,3 +272,54 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, line):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(cfg) in err and key in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["verify", "S2", "--rmax", "0.15"], "0.15"),
+    (["verify", "S5", "--alpha", "0.5"], "0.5"),
+    (["verify", "S5", "--eps0", "0.9"], "0.9"),
+    (["stoptime", "--c0", "0.5"], "0.5"),
+    (["norms", "--alpha", "-1"], "-1.0"),
+])
+def test_cli_value_out_of_range_exits_2(tmp_path, capsys, argv, value):
+    code = main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert value in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_norms_accepts_growth_exponent_below_stolz_range(tmp_path):
+    # alpha is a growth exponent for norms (>= 0), an aperture only for S5
+    assert main(["norms", "--alpha", "1", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "growth_profile.json").exists()
+
+
+def test_scenario_config_has_no_ics_key(tmp_path, capsys):
+    cfg = tmp_path / "ics.cfg"
+    cfg.write_text("ics = 0, 1\n")
+    assert main(["--config", str(cfg), "verify", "S6",
+                 "--out", str(tmp_path)]) == 2
+    assert "unknown key 'ics'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [
+    [2.0, 1j, -1.0],                     # R' = 1 - c^-3 is not 0
+    [1.0 + 0j, 1.0 + 0j, 1.0 + 0j],      # critical, but not distinct
+    [1.0 + 0j, complex(-0.5, 3 ** 0.5 / 2)],
+])
+def test_s6_rejects_wrong_critical_points(monkeypatch, points):
+    from discde import suites
+
+    monkeypatch.setattr(suites, "roth_critical_points", lambda: points)
+    report = run_suite("S6", Scenario())
+    check = next(c for c in report.checks if c.name == "critical-points")
+    assert check.passed is False
+    assert not report.ok
+
+
+def test_s6_checks_the_critical_points_independently():
+    check = run_suite("S6", Scenario()).checks[0]
+    assert check.passed and check.values["distinct"]
+    assert check.values["max_error"] <= 1e-14
