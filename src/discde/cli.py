@@ -139,8 +139,14 @@ def cmd_norms(scenario):
     if not scenario.alpha >= 0:
         raise ScenarioError(f"growth exponent alpha = {scenario.alpha} must be >= 0")
     a_eval = scenario.coefficient_eval()
-    gn = growth_norm(a_eval, scenario.alpha)
-    f1 = fp_norm(a_eval, 1.0)
+    # a coefficient that is not finite on a node is reported below, once
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gn = growth_norm(a_eval, scenario.alpha)
+        f1 = fp_norm(a_eval, 1.0)
+    for name, norm in (("growth_norm", gn), ("f1_norm", f1)):
+        if not np.isfinite(norm.value):
+            raise ScenarioError(f"{name} = {norm.value}: the coefficient is "
+                                "not finite on the disc")
     rows = [[r, v] for r, v in gn.per_radius]
     _emit(scenario, "growth_profile", rows, ["radius", "max_on_circle"])
     print(json.dumps({

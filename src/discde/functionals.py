@@ -123,10 +123,12 @@ def _grid_sup(values_on_points, radii, n_theta):
 
 def _local_refine(values_on_points, best, best_z, scale, rounds=6, n=9):
     """Nested grid search around the sweep's maximum ``best`` at ``best_z``,
-    which it does not evaluate again: one call per round."""
+    which it does not evaluate again: one call per round on the n x n grid
+    (n odd) without its centre."""
     for _ in range(rounds):
         offs = np.linspace(-scale, scale, n)
-        zs = best_z + (offs[:, None] + 1j * offs[None, :]).ravel()
+        zs = best_z + np.delete((offs[:, None] + 1j * offs[None, :]).ravel(),
+                                n * n // 2)
         zs = zs[np.abs(zs) < 1]
         if len(zs) == 0:
             break

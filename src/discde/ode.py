@@ -15,6 +15,9 @@ Each expansion keeps one coefficient matrix for all solutions and their
 first two derivatives, so values and derivatives at a batch of points are
 one matrix product with the powers of z - center (Corliss & Chang, 1982);
 ``jet`` evaluates a point or an array that way, and so does each step.
+A combination alpha*f1 + beta*f2 weights the coefficient rows before that
+product, so it costs one cover lookup and one product, as a single solution
+does.
 """
 
 from __future__ import annotations
@@ -87,11 +90,15 @@ class _Expansion:
 
     def jet(self, zs, order, index=slice(None)):
         """Derivatives 0..order at the 1-d array zs: shape (order + 1, len(zs))
-        for one solution ``index``, (solutions, order + 1, len(zs)) for all."""
+        for one solution ``index`` or for a weight vector ``index`` over the
+        solutions, (solutions, order + 1, len(zs)) for all.  Weights combine
+        the coefficient rows before the product with the powers."""
         powers = np.empty((self.rows.shape[-1], len(zs)), dtype=complex)
         powers[0] = 1.0
         powers[1:] = zs - self.center
         np.multiply.accumulate(powers, axis=0, out=powers)
+        if isinstance(index, np.ndarray):
+            return (self.rows[:, :order + 1].T @ index).T @ powers
         return self.rows[index, :order + 1] @ powers
 
 
@@ -171,7 +178,8 @@ class ContinuableSystem:
         return out
 
     def jet(self, index, z, order=2):
-        """Values and derivatives 0..order of solution ``index`` at z.
+        """Values and derivatives 0..order at z of solution ``index``, or of
+        the combination whose weight vector over the solutions is ``index``.
 
         A point gives a list of complex numbers, an array of points one
         array of its shape per order.  Points that no expansion covers are continued
@@ -197,26 +205,26 @@ class ContinuableSystem:
 class ContinuableSolution:
     """A solution of f'' + A f = 0: ``ContinuableSolution(A, f0, df0)``
     continues f(0) = f0, f'(0) = df0 on a system of its own; a basis hands out
-    f1, f2 and alpha*f1 + beta*f2 as handles on its shared system."""
+    f1, f2 and alpha*f1 + beta*f2 as handles on its shared system.  A handle
+    holds one solution index or one weight vector over the solutions, so each
+    of its evaluations is one system call."""
 
     def __init__(self, A, f0, df0, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
         self._system = ContinuableSystem(A, [(f0, df0)], degree, r_max)
-        self._terms = ((0, 1.0),)
+        self._index = 0
 
     @classmethod
-    def _on(cls, system, terms):
-        """The handle of the sum of weight * solution over (index, weight)."""
+    def _on(cls, system, index):
+        """The handle of solution ``index`` of ``system``, or of the sum of
+        weight * solution when ``index`` is a weight vector."""
         handle = cls.__new__(cls)
         handle._system = system
-        handle._terms = tuple(terms)
+        handle._index = index
         return handle
 
     def jet(self, z, order=2):
         """Derivatives 0..order at a point or an ndarray, as the system's jet."""
-        jets = [(w, self._system.jet(i, z, order)) for i, w in self._terms]
-        if len(jets) == 1 and jets[0][0] == 1:
-            return jets[0][1]
-        return [sum(w * j[k] for w, j in jets) for k in range(order + 1)]
+        return self._system.jet(self._index, z, order)
 
     def __call__(self, z):
         return self.jet(z, 0)[0]
@@ -251,7 +259,7 @@ class SolutionBasis:
     def solution(self, alpha, beta):
         """The solution alpha*f1 + beta*f2 (shares the continuation cache)."""
         return ContinuableSolution._on(
-            self.f1._system, ((0, complex(alpha)), (1, complex(beta))))
+            self.f1._system, np.array([alpha, beta], dtype=complex))
 
 
 def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
@@ -268,8 +276,8 @@ def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
         if target == 0:
             raise ValueError("initial conditions give a degenerate (zero-Wronskian) pair")
     system = ContinuableSystem(A, list(ics), degree=degree, r_max=r_max)
-    return SolutionBasis(ContinuableSolution._on(system, ((0, 1.0),)),
-                         ContinuableSolution._on(system, ((1, 1.0),)), target)
+    return SolutionBasis(ContinuableSolution._on(system, 0),
+                         ContinuableSolution._on(system, 1), target)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ class Scenario:
             raise ScenarioError("rmax must lie in (0, 1)")
         if any(not 0 < r < 1 for r in self.radii):
             raise ScenarioError("all radii must lie in (0, 1)")
+        if self.max_generation < 2:
+            raise ScenarioError(f"max_generation = {self.max_generation} must "
+                                "be at least 2: G0 starts at generation 2")
         for s in self.suites:
             if s not in SUITE_IDS:
                 raise ScenarioError(f"unknown suite {s!r}")

@@ -314,3 +314,42 @@ def test_measure_of_square_makes_one_call():
     # area of the box: (theta_hi - theta_lo) (r_max^2 - inner^2) / 2
     expected = (q.theta_hi - q.theta_lo) * (0.9999 ** 2 - q.inner_radius ** 2) / 2
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def reference_refine(on_points, best, best_z, scale, rounds=6, n=9):
+    """The nested grid search with the centre of each grid evaluated."""
+    for _ in range(rounds):
+        offs = np.linspace(-scale, scale, n)
+        zs = best_z + (offs[:, None] + 1j * offs[None, :]).ravel()
+        zs = zs[np.abs(zs) < 1]
+        vals = on_points(zs)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_z = float(vals[k]), complex(zs[k])
+        scale /= 3.0
+    return best, best_z
+
+
+@pytest.mark.parametrize("fn, alpha", [
+    (lambda zs: 0.5 / (1 - zs), 2.0),
+    (lambda zs: np.exp(2 * zs) / (1 - 0.9j * zs) ** 3, 1.0),
+])
+def test_growth_norm_refinement_skips_the_current_maximum(fn, alpha):
+    def on_points(zs):
+        return (1.0 - np.abs(zs) ** 2) ** alpha * np.abs(fn(zs))
+
+    a = Recording(fn)
+    sweep = growth_norm(a, alpha, refine=False)
+    a.calls.clear()
+    rep = growth_norm(a, alpha)
+    best, best_z = sweep.value, sweep.argmax
+    for zs in a.calls[1:]:
+        assert not np.any(zs == best_z)
+        vals = on_points(zs)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_z = float(vals[k]), complex(zs[k])
+    scale = max((1 - abs(sweep.argmax)) / 2,
+                2 * np.pi * abs(sweep.argmax) / 256)
+    assert (rep.value, rep.argmax) == (best, best_z) == reference_refine(
+        on_points, sweep.value, sweep.argmax, scale)

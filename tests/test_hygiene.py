@@ -1,15 +1,18 @@
 """Source hygiene: no unused module-level imports in the package, no
 private module-level helper that nothing references, every name the
 package exports resolves, and every function and method the benchmark
-tracer (perfbench/tracer.py) wraps still exists to be wrapped."""
+tracer (perfbench/tracer.py) wraps still exists to be wrapped, with the
+jet argument it counts points from still in its place."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import discde
+from discde.ode import ContinuableSystem
 
 PACKAGE = Path(discde.__file__).resolve().parent
 
@@ -142,3 +145,18 @@ def test_tracer_patch_sites_resolve():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_tracer_reads_z_where_the_jet_takes_it():
+    """The tracer's _after_jet counts points from a positional slot of
+    ContinuableSystem.jet; that slot must stay the parameter ``z``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    after_jet = next(node for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_after_jet")
+    slots = {node.slice.value for node in ast.walk(after_jet)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name) and node.value.id == "args"
+             and isinstance(node.slice, ast.Constant)}
+    params = list(inspect.signature(ContinuableSystem.jet).parameters)
+    assert slots and {params[k] for k in slots} == {"z"}

@@ -169,3 +169,67 @@ def test_pole_inside_disc_is_a_continuation_error():
     basis = make_basis("1/(z-0.5)")
     with pytest.raises(ContinuationError):
         basis.f1.jet(0.6, 1)
+
+
+# ---------------------------------------------------------------------------
+# combination handles: one system call with the weights in the product
+
+
+KOEBE_CIRCLE = 0.9 * np.exp(2j * np.pi * np.arange(256) / 256)
+
+
+@pytest.mark.parametrize("coeff, z", [
+    ("25", 0.3 + 0.1j),
+    ("25", np.linspace(-0.8, 0.8, 17) + 0.2j),
+    ("25", np.array([[0.1, -0.5j, 0.7], [0.0, 0.4 + 0.4j, -0.9]])),
+    ("-4*z/(1-z)^4", KOEBE_CIRCLE),
+])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_combination_handle_is_the_weighted_sum(coeff, z, order):
+    basis = make_basis(coeff)
+    alpha, beta = 0.7 - 0.2j, 1.3 + 0.4j
+    got = basis.solution(alpha, beta).jet(z, order)
+    f1, f2 = basis.f1.jet(z, order), basis.f2.jet(z, order)
+    want = [alpha * a + beta * b for a, b in zip(f1, f2)]
+    assert len(got) == order + 1
+    assert all(np.shape(g) == np.shape(z) for g in got)
+    if not np.ndim(z):
+        assert all(type(g) is complex for g in got)
+    _assert_jets_close(got, want, 1e-13)
+
+
+def test_koebe_circle_spans_several_expansions():
+    # the case above on |z| = 0.9 weights the rows of more than one expansion
+    basis = make_basis("-4*z/(1-z)^4")
+    basis.f1.jet(KOEBE_CIRCLE, 0)
+    best, covered = basis.f1._system._cover(KOEBE_CIRCLE)
+    assert covered.all() and len(np.unique(best)) > 1
+
+
+def test_combination_handle_is_one_system_call(monkeypatch):
+    basis = make_basis("25")
+    calls = []
+    jet = ContinuableSystem.jet
+
+    def counted(self, index, z, order=2):
+        calls.append(index)
+        return jet(self, index, z, order)
+
+    monkeypatch.setattr(ContinuableSystem, "jet", counted)
+    handle = basis.solution(2.0, -1.0j)
+    handle.jet(np.linspace(0, 0.9, 50), 2)
+    handle(0.3j)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("z", [0.3 - 0.6j,
+                               0.95 * np.exp(1j * np.linspace(0, 6, 40))])
+def test_single_solution_handles_are_the_system_jet_bitwise(z):
+    basis = make_basis("-4*z/(1-z)^4")
+    system = basis.f1._system
+    for i, handle in ((0, basis.f1), (1, basis.f2)):
+        want = system.jet(i, z, 2)
+        assert np.array_equal(handle.jet(z, 2), want)
+    own = ContinuableSolution("25", 1.0, 0.5)
+    twin = ContinuableSystem("25", [(1.0, 0.5)])
+    assert np.array_equal(own.jet(z, 2), twin.jet(0, z, 2))

@@ -323,3 +323,35 @@ def test_s6_checks_the_critical_points_independently():
     check = run_suite("S6", Scenario()).checks[0]
     assert check.passed and check.values["distinct"]
     assert check.values["max_error"] <= 1e-14
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stoptime", "--coefficient=25", "--c0", "1.5", "--eps0", "0.2",
+      "--max-generation", "0"], 2),
+    (["verify", "S5", "--max-generation", "1"], 2),
+    (["stoptime", "--max-generation", "2"], 0),
+])
+def test_cli_max_generation_below_two_exits_2(tmp_path, capsys, argv, code):
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "max_generation" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_config_max_generation_below_two_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "shallow.cfg"
+    cfg.write_text("max_generation = 1\n")
+    assert main(["--config", str(cfg), "stoptime", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: max_generation = 1")
+
+
+def test_cli_norms_rejects_a_norm_that_is_not_finite(tmp_path, capsys):
+    # a sweep node lands on the pole at 0.5: the norm is inf, not JSON
+    code = main(["norms", "--coefficient=1/(z-0.5)", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "growth_norm" in captured.err
+    assert list(tmp_path.iterdir()) == []
