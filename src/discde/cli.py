@@ -31,7 +31,7 @@ from .stopping import (
     weak_lp_fit,
 )
 from .suites import (SUITE_IDS, Scenario, ScenarioError, _json_default,
-                     run_suite)
+                     require_finite, run_suite)
 from .zeros import ZeroLocationError, find_zeros
 
 
@@ -143,10 +143,7 @@ def cmd_norms(scenario):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gn = growth_norm(a_eval, scenario.alpha)
         f1 = fp_norm(a_eval, 1.0)
-    for name, norm in (("growth_norm", gn), ("f1_norm", f1)):
-        if not np.isfinite(norm.value):
-            raise ScenarioError(f"{name} = {norm.value}: the coefficient is "
-                                "not finite on the disc")
+    require_finite({"growth_norm": gn.value, "f1_norm": f1.value})
     rows = [[r, v] for r, v in gn.per_radius]
     _emit(scenario, "growth_profile", rows, ["radius", "max_on_circle"])
     print(json.dumps({

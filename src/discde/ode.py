@@ -13,8 +13,9 @@ dominant to the recessive solution.
 
 Each expansion keeps one coefficient matrix for all solutions and their
 first two derivatives, so values and derivatives at a batch of points are
-one matrix product with the powers of z - center (Corliss & Chang, 1982);
-``jet`` evaluates a point or an array that way, and so does each step.
+one matrix product with the powers of z - center (Corliss & Chang, 1982).
+``jet`` evaluates an array in blocks that way, and a point as a batch of one
+after a cover lookup of its own; each continuation step uses the same product.
 A combination alpha*f1 + beta*f2 weights the coefficient rows before that
 product, so it costs one cover lookup and one product, as a single solution
 does.
@@ -169,7 +170,7 @@ class ContinuableSystem:
                 if not self._cover(zs[i:i + 1])[1][0]:
                     self._continue_to(complex(zs[i]))
             best, _ = self._cover(zs)
-        if len(zs) == 1 or (best == best[0]).all():
+        if (best == best[0]).all():
             return self._expansions[best[0]].jet(zs, order, index)
         out = np.empty((order + 1, len(zs)), dtype=complex)
         for e in np.unique(best):
@@ -177,18 +178,34 @@ class ContinuableSystem:
             out[:, sel] = self._expansions[e].jet(zs[sel], order, index)
         return out
 
+    def _jet_point(self, index, z, order):
+        r = np.abs(z)  # numpy's modulus, as the array path reports it
+        if not r <= self.r_max * (1 + 1e-12):
+            raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
+        ratio = np.abs(z - self._centers) / self._trusts
+        best = ratio.argmin()
+        if not ratio[best] <= _COVER_FRAC:
+            self._continue_to(z)
+            best = (np.abs(z - self._centers) / self._trusts).argmin()
+        e = self._expansions[best]
+        return e.jet(np.array([z]), order, index)[:, 0].tolist()
+
     def jet(self, index, z, order=2):
         """Values and derivatives 0..order at z of solution ``index``, or of
         the combination whose weight vector over the solutions is ``index``.
 
-        A point gives a list of complex numbers, an array of points one
-        array of its shape per order.  Points that no expansion covers are continued
-        to in array order, so an array creates the same expansions as its
-        points taken one at a time.
+        A point (a scalar or a 0-d array) gives a list of complex numbers from
+        a cover lookup of its own, an array of points one array of its shape
+        per order from blocks that share a power matrix; both give the same
+        numbers.  Points that no expansion covers are continued to in array
+        order, so an array creates the same expansions as its points taken
+        one at a time.
         """
         if order < 0 or order > _MAX_ORDER:
             raise ValueError("order must be in [0, 2]")
         zs = np.asarray(z, dtype=complex)
+        if not zs.ndim:
+            return self._jet_point(index, complex(zs), order)
         flat = zs.reshape(-1)
         r = np.abs(flat).max(initial=0.0)
         if not r <= self.r_max * (1 + 1e-12):
@@ -197,9 +214,7 @@ class ContinuableSystem:
         step = max(1, _BLOCK_CELLS // (len(self._expansions) + self.degree + 1))
         for i in range(0, flat.size, step):
             out[:, i:i + step] = self._jet_block(index, flat[i:i + step], order)
-        if zs.ndim:
-            return list(out.reshape((order + 1,) + zs.shape))
-        return out[:, 0].tolist()
+        return list(out.reshape((order + 1,) + zs.shape))
 
 
 class ContinuableSolution:

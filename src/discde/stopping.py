@@ -206,7 +206,8 @@ def nontangential_max_inv(wprime_abs, alpha=2.0, n_theta=512, r_max=0.999,
                           n_radii=24):
     """Sampled theta -> sup over the Stolz region of 1/|w'|.
 
-    Returns (thetas, samples) as arrays; a lower bound per theta.
+    Returns (thetas, samples) as arrays; a lower bound per theta, or NaN
+    where |w'| is NaN at a point of the sample, since the sup is then unknown.
     """
     if not alpha > 1:
         raise ValueError("aperture alpha must exceed 1")
@@ -216,6 +217,9 @@ def nontangential_max_inv(wprime_abs, alpha=2.0, n_theta=512, r_max=0.999,
         best = 0.0
         for z in stolz_sample(theta, alpha, r_max, n_radii):
             v = wprime_abs(z)
+            if v != v:  # NaN: the sup over this region is unknown
+                best = math.nan
+                break
             inv = np.inf if v == 0 else 1.0 / v
             if inv > best:
                 best = inv
@@ -246,11 +250,15 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
 
     Least squares of log-measure against log-lambda on a geometric lambda
     grid spanning the top ``decades`` of the sample range.  Returns
-    (p, C, diagnostics dict).
+    (p, C, diagnostics dict).  Infinite samples (poles) count above every
+    lambda; a NaN sample raises ValueError.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 256:
         raise ValueError("need at least 256 samples")
+    n_nan = int(np.count_nonzero(np.isnan(samples)))
+    if n_nan:
+        raise ValueError(f"{n_nan} of {len(samples)} samples are NaN")
     finite = samples[np.isfinite(samples)]
     top = float(np.max(finite))
     if top <= 0 or float(np.min(finite)) == top:

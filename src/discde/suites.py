@@ -56,6 +56,15 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
+def require_finite(values):
+    """Raise ScenarioError naming the first of the named values (computed
+    from the coefficient) that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ScenarioError(f"{name} = {value}: the coefficient is not "
+                                "finite on the disc")
+
+
 def _config_parser(tp):
     """Reader of a config value for a field of type ``tp``: str, int, float,
     or a comma-separated tuple[X, ...] of one of them; None for a field with
@@ -579,10 +588,16 @@ def run_s7(scenario):
     norm."""
     report = SuiteReport("S7")
     a_eval = scenario.coefficient_eval()
-    norm_a = growth_norm(a_eval, 2.0).value
-    left, _ = weighted_area_integral(a_eval, 2.0, 3.0)
-    mid_int, _ = weighted_area_integral(a_eval, 1.0, 1.0)
-    right_int, _ = weighted_area_integral(a_eval, 0.5, 0.0)
+    # a coefficient that is not finite on a node is reported below, once
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm_a = growth_norm(a_eval, 2.0).value
+        left, _ = weighted_area_integral(a_eval, 2.0, 3.0)
+        mid_int, _ = weighted_area_integral(a_eval, 1.0, 1.0)
+        right_int, _ = weighted_area_integral(a_eval, 0.5, 0.0)
+    require_finite({"coefficient_norm": norm_a,
+                    "integral of |A|^2 (1-|z|^2)^3": left,
+                    "integral of |A| (1-|z|^2)": mid_int,
+                    "integral of |A|^{1/2}": right_int})
     middle = norm_a * mid_int
     right = norm_a ** 1.5 * right_int
     tol = 1e-9 * max(1.0, abs(middle), abs(right))

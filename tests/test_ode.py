@@ -233,3 +233,74 @@ def test_single_solution_handles_are_the_system_jet_bitwise(z):
     own = ContinuableSolution("25", 1.0, 0.5)
     twin = ContinuableSystem("25", [(1.0, 0.5)])
     assert np.array_equal(own.jet(z, 2), twin.jet(0, z, 2))
+
+
+# ---------------------------------------------------------------------------
+# a point: one cover lookup of its own, the numbers of a one-element array
+
+
+POINT_CASES = [
+    ("25", np.array([0.3 + 0.1j, -0.7j, 0.95, -0.2 + 0.9j])),
+    ("0.5/(1-z)", np.array([0.9, 0.5 + 0.5j, -0.99j, 0.97 + 0.1j, 0.0])),
+    ("-4*z/(1-z)^4", KOEBE_CIRCLE[::8]),
+]
+
+
+def _handles(basis):
+    return basis.f1, basis.f2, basis.solution(0.7 - 0.2j, 1.3 + 0.4j)
+
+
+@pytest.mark.parametrize("coeff, points", POINT_CASES)
+def test_point_jet_is_the_one_element_array_bitwise(coeff, points):
+    by_point, by_array = make_basis(coeff), make_basis(coeff)
+    for z in points:
+        for order in (0, 1, 2):
+            for p, a in zip(_handles(by_point), _handles(by_array)):
+                got = p.jet(complex(z), order)
+                want = [w[0] for w in a.jet(np.array([z]), order)]
+                assert got == want  # exact, not close
+    assert ([e.center for e in by_point.f1._system._expansions]
+            == [e.center for e in by_array.f1._system._expansions])
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.1j, 0.3, 0, np.complex128(0.3 + 0.1j),
+                               np.float64(-0.5), np.array(0.2j)])
+def test_scalar_kinds_take_the_point_lookup(z, monkeypatch):
+    system = make_basis("25").f1._system
+
+    def no_block(*args):
+        raise AssertionError("a point went through the array blocks")
+
+    monkeypatch.setattr(system, "_jet_block", no_block)
+    values = system.jet(1, z, 2)
+    assert len(values) == 3 and all(type(v) is complex for v in values)
+
+
+@pytest.mark.parametrize("z", [0.9995, -1.0 + 0.5j, 2.7573518615022516 *
+                               cmath.exp(0.3j), complex(math.nan, 0.1),
+                               complex(0.1, math.inf)])
+def test_point_beyond_r_max_raises_the_array_message(z):
+    system = ContinuableSystem("25", [(1, 0), (0, 1)])
+    with pytest.raises(ContinuationError) as from_array:
+        system.jet(0, np.array([z]), 1)
+    with pytest.raises(ContinuationError) as from_point:
+        system.jet(0, z, 1)
+    assert str(from_point.value) == str(from_array.value)
+    assert len(system._expansions) == 1
+
+
+def test_points_continued_one_at_a_time_leave_the_array_centres():
+    # a shuffled sweep of the Koebe circle and inward rays, each point
+    # continued to when first seen
+    rng = np.random.default_rng(5)
+    points = np.concatenate([KOEBE_CIRCLE, 0.97 * np.exp(2j * np.pi *
+                             rng.uniform(size=40))])
+    rng.shuffle(points)
+    by_point = ContinuableSystem("-4*z/(1-z)^4", [(1, 0), (0, 1)])
+    by_array = ContinuableSystem("-4*z/(1-z)^4", [(1, 0), (0, 1)])
+    for z in points:
+        by_point.jet(0, complex(z), 0)
+        by_array.jet(0, np.array([z]), 0)
+    centres = [e.center for e in by_point._expansions]
+    assert len(centres) > 10
+    assert centres == [e.center for e in by_array._expansions]

@@ -132,6 +132,16 @@ def test_nontangential_max_boundary_singularity():
     assert np.all(wider >= samples - 1e-12)
 
 
+def test_nontangential_max_is_nan_where_a_sample_value_is_nan():
+    # |w'| is NaN on a disc about 0.99: the sup at theta = 0 is unknown,
+    # not the 1.0 of the points around it
+    wp = lambda z: math.nan if abs(z - 0.99) < 0.2 else 1.0
+    thetas, samples = nontangential_max_inv(wp, n_theta=64, n_radii=8)
+    assert math.isnan(samples[0])
+    far = np.abs(np.exp(1j * thetas) - 1) > 0.5
+    assert np.all(samples[far] == 1.0)
+
+
 def test_predicted_p():
     assert predicted_p(2.0, 0.125) == 0.25
     assert predicted_p(2.0, 0.25) == pytest.approx(1 / 3)
@@ -145,6 +155,15 @@ def test_weak_lp_fit_recovers_exponent():
     p, c, diag = weak_lp_fit(samples)
     assert p == pytest.approx(0.5, abs=0.12)
     assert diag["points"] > 50
+
+
+def test_weak_lp_fit_rejects_nan_and_keeps_poles():
+    u = (np.arange(400) + 0.5) / 400
+    with_nan = np.concatenate([u**-2.0, np.full(20, np.nan)])
+    with pytest.raises(ValueError, match="20 of 420 samples are NaN"):
+        weak_lp_fit(with_nan)
+    p, _, _ = weak_lp_fit(np.concatenate([u**-2.0, np.full(20, np.inf)]))
+    assert math.isfinite(p)
 
 
 def test_weak_lp_fit_rejects_constant():

@@ -355,3 +355,15 @@ def test_cli_norms_rejects_a_norm_that_is_not_finite(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "growth_norm" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_s7_rejects_a_coefficient_that_is_not_finite(tmp_path,
+                                                                capsys):
+    # the pole at 0.5 makes the growth norm inf and the chain inf/NaN
+    code = main(["verify", "S7", "--coefficient=1/(z-0.5)",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: coefficient_norm = inf: the coefficient "
+                            "is not finite on the disc\n")
+    assert list(tmp_path.iterdir()) == []
