@@ -10,21 +10,20 @@ from .ode import (
     SolutionBasis,
     make_basis,
     mobius_transfer,
-    solve_ivp,
 )
 from .geometry import CarlesonSquare, phi, rho_p, stolz_contains
 from .functionals import (
+    carleson_constant,
     circle_mean,
     fp_norm,
     growth_norm,
-    nevanlinna_m,
     weighted_area_integral,
 )
-from .zeros import ZeroSequence, blaschke_sum, find_zeros, separation_delta
+from .zeros import ZeroSequence, find_zeros, separation_delta
 from .schwarzian import (
     QuotientMap,
-    defC_constant,
     factorize,
+    pre_schwarzian_bound_check,
     quotient_from_coefficient,
     roth_value_map,
     schwarzian,
@@ -44,10 +43,9 @@ __all__ = [
     "StoppingForest",
     "SuiteReport",
     "ZeroSequence",
-    "blaschke_sum",
     "build_g0",
+    "carleson_constant",
     "circle_mean",
-    "defC_constant",
     "estimate_trust_radius",
     "eval_array",
     "eval_jet",
@@ -58,9 +56,9 @@ __all__ = [
     "growth_norm",
     "make_basis",
     "mobius_transfer",
-    "nevanlinna_m",
     "parse_expr",
     "phi",
+    "pre_schwarzian_bound_check",
     "predicted_p",
     "quotient_from_coefficient",
     "refine_generation",
@@ -69,7 +67,6 @@ __all__ = [
     "run_suite",
     "schwarzian",
     "separation_delta",
-    "solve_ivp",
     "stolz_contains",
     "to_string",
     "weighted_area_integral",

@@ -2,7 +2,9 @@
 verify <suite>, report.
 
 Exit codes: 0 success, 1 a verification check failed or a computation
-failed (ContinuationError, ZeroLocationError), 2 usage error.
+failed (ContinuationError, ZeroLocationError), 2 a usage or scenario error
+or an OSError, such as an ``--out`` that cannot be made a directory; exit 2
+prints one ``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def main(argv=None):
     extra = (args.suite,) if args.command == "verify" else ()
     try:
         return _COMMANDS[args.command](scenario, *extra)
-    except (ScenarioError, ExprError) as exc:
+    except (ScenarioError, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContinuationError, ZeroLocationError) as exc:

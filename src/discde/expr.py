@@ -98,9 +98,6 @@ class Fun(Node):
     arg: Node
 
 
-ExprAst = Node
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 

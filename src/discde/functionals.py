@@ -10,40 +10,13 @@ replaced by evaluation on an exhausting radius schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import dyadic_edges, generation_squares, unit_roots
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class RadialProfile:
-    """Values of a radial functional on an increasing radius schedule."""
-
-    radii: list
-    values: list
-    monotone: bool = field(init=False)
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-        self.monotone = all(
-            b >= a * (1 - 1e-12) - 1e-15 for a, b in zip(self.values, self.values[1:])
-        )
-
-
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Density of an area measure d(mu) = density(z) dm(z) on the disc."""
-
-    density: object  # vectorized callable z -> nonnegative real
-    tag: str = ""
-
-    def __call__(self, zs):
-        return self.density(zs)
 
 
 @dataclass
@@ -62,21 +35,6 @@ class SupremumReport:
 # circle means
 
 
-def _adaptive_circle_mean(integrand_of_values, f, r, n_points, tol, max_points):
-    if not 0 < r < 1:
-        raise ValueError("radius must lie in (0, 1)")
-    n, prev = n_points, None
-    while True:
-        values = np.asarray(f(r * unit_roots(n)), dtype=complex)
-        mean = float(np.mean(integrand_of_values(values)))
-        if prev is not None and abs(mean - prev) <= tol * (1 + abs(mean)):
-            return mean
-        if n >= max_points:
-            return mean
-        prev = mean
-        n *= 2
-
-
 def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
     """(1/2pi) * integral of |f(r e^(i theta))|^p, composite trapezoid.
 
@@ -88,16 +46,18 @@ def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
         raise ValueError("exponent p must be positive")
     if n_points < 64 or n_points & (n_points - 1):
         raise ValueError("n_points must be a power of two >= 64")
-    return _adaptive_circle_mean(lambda v: np.abs(v) ** p, f, r, n_points, tol, max_points)
-
-
-def nevanlinna_m(f, r, n_points=64, tol=1e-8, max_points=1 << 16):
-    """Proximity function m(r, f): circle mean of log+ |f|; ``f`` is a
-    vectorized evaluator, as for circle_mean."""
-    return _adaptive_circle_mean(
-        lambda v: np.maximum(np.log(np.maximum(np.abs(v), 1e-300)), 0.0),
-        f, r, n_points, tol, max_points,
-    )
+    if not 0 < r < 1:
+        raise ValueError("radius must lie in (0, 1)")
+    n, prev = n_points, None
+    while True:
+        values = np.asarray(f(r * unit_roots(n)), dtype=complex)
+        mean = float(np.mean(np.abs(values) ** p))
+        if prev is not None and abs(mean - prev) <= tol * (1 + abs(mean)):
+            return mean
+        if n >= max_points:
+            return mean
+        prev = mean
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +168,6 @@ def _radial_rule(lo, r_max, n_radial):
     return rr.ravel(), (0.5 * (b - a) * wx * rr).ravel()
 
 
-def area_integral(g, nodes, weights):
-    vals = np.asarray(g(nodes))
-    return float(np.real(np.sum(weights * vals)))
-
-
 def weighted_area_integral(A, p, beta, r_maxes=(0.9, 0.99, 0.999),
                            n_radial=64, n_theta=256):
     """integral over D of |A|^p (1-|z|^2)^beta dm, with a truncation trend.
@@ -318,16 +273,6 @@ def fp_norm(A, p, r_max=0.999, n_radial=64, n_theta=256):
     return report
 
 
-def carleson_embedding_constant(mu, r_max=0.999, n_radial=64, n_theta=256):
-    """sup over the 4-ring default_a_net of integral (1-|a|^2)/|1 - conj(a) z|^2
-    d(mu); angle counts as for fp_norm, NaN when mu is not finite on a node."""
-
-    def density(nodes):
-        return np.asarray(mu(nodes), dtype=float)
-
-    return _net_sup(4, density, r_max, n_radial, n_theta)
-
-
 def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
     """mu(Q) truncated at r_max in one call of ``mu``: the radial rule of
     polar_quadrature from Q's inner radius times n_theta arc midpoints."""
@@ -343,7 +288,8 @@ def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
 
 
 def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64):
-    """max over dyadic squares (up to a generation cap) of mu(Q)/l(Q)."""
+    """max over dyadic squares (up to a generation cap) of mu(Q)/l(Q), for
+    d(mu) = mu(z) dm(z) with ``mu`` a vectorized nonnegative density."""
     best, best_sq = -np.inf, None
     for n in range(1, max_generation + 1):
         for sq in generation_squares(n):

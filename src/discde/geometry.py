@@ -41,13 +41,6 @@ def rho_p_to_set(z, points):
                   initial=1.0)
 
 
-def lambda_threshold(s):
-    """(9/10 + s) / (1 + 9 s / 10); strictly between 9/10 and 1 on (0, 1)."""
-    if not 0 < s < 1:
-        raise ValueError("s must lie in (0, 1)")
-    return (0.9 + s) / (1.0 + 0.9 * s)
-
-
 def dyadic_edges(lo, r_max):
     """Radii [lo, ..., r_max] stepping by halving the distance to the circle
     (0, 1/2, 3/4, ... from lo = 0), so each annulus stays a fixed
@@ -122,35 +115,11 @@ class CarlesonSquare:
         n, j = self.generation, self.index
         return (CarlesonSquare(n + 1, 2 * j - 1), CarlesonSquare(n + 1, 2 * j))
 
-    def father(self):
-        if self.generation == 1:
-            raise ValueError("the root square has no father")
-        return CarlesonSquare(self.generation - 1, (self.index + 1) // 2)
-
     def is_descendant_of(self, other):
         if other.generation >= self.generation:
             return False
         shift = self.generation - other.generation
         return (self.index - 1) >> shift == other.index - 1
-
-    def _arg_in_base(self, z):
-        theta = math.atan2(z.imag, z.real) % TWO_PI
-        lo, hi = self.theta_lo, self.theta_hi
-        if hi >= TWO_PI - 1e-15:
-            return theta >= lo - 1e-15 or theta <= hi - TWO_PI + 1e-15
-        return lo - 1e-15 <= theta <= hi + 1e-15
-
-    def contains(self, z):
-        z = complex(z)
-        r = abs(z)
-        return self.inner_radius <= r < 1 and self._arg_in_base(z)
-
-    def top_half_contains(self, z):
-        z = complex(z)
-        r = abs(z)
-        return (self.inner_radius - 1e-12 <= r
-                <= 1.0 - self.ell / (2 * TWO_PI) + 1e-12
-                and self._arg_in_base(z))
 
     @property
     def z_q(self):
@@ -160,18 +129,6 @@ class CarlesonSquare:
         radius = 1.0 - 3.0 * self.ell / (4 * TWO_PI)
         return radius * complex(math.cos(self.theta_mid), math.sin(self.theta_mid))
 
-    def top_half_stencil(self):
-        """9-point stencil of T(Q): corners, edge midpoints, center.
-
-        Used to realize the distance from the region T(Q) to a point set.
-        """
-        r_lo = self.inner_radius
-        r_hi = 1.0 - self.ell / (2 * TWO_PI)
-        r_mid = 1.0 - 3.0 * self.ell / (4 * TWO_PI)
-        thetas = (self.theta_lo, self.theta_mid, self.theta_hi)
-        return [r * complex(math.cos(t), math.sin(t))
-                for r in (r_lo, r_mid, r_hi) for t in thetas]
-
 
 def maximal_squares(squares):
     """The squares of the list with no strict dyadic ancestor in it, in list
@@ -180,10 +137,6 @@ def maximal_squares(squares):
     return [sq for sq in squares
             if not any((sq.generation - k, ((sq.index - 1) >> k) + 1) in keys
                        for k in range(1, sq.generation))]
-
-
-def root_square():
-    return CarlesonSquare(1, 1)
 
 
 def generation_squares(n):

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .series import (DEFAULT_DEGREE, PowerSeries, TrustRadiusError,
-                     estimate_trust_radius)
+from .series import DEFAULT_DEGREE, TrustRadiusError, estimate_trust_radius
 
 DEFAULT_R_MAX = 0.999
 _COVER_FRAC = 0.75
@@ -53,22 +52,6 @@ def _recurrence(a, f0, df0, degree):
         acc = np.dot(a[: n + 1], c[n::-1])
         c[n + 2] = -acc / ((n + 2) * (n + 1))
     return c
-
-
-def solve_ivp(A, z0, f0, df0, degree=DEFAULT_DEGREE):
-    """Local series solution with f(z0)=f0, f'(z0)=df0.
-
-    Coefficients follow c_{n+2} = -(sum_k a_k c_{n-k}) / ((n+2)(n+1)) where
-    a_k is the Taylor expansion of the coefficient A about z0.
-    """
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    if isinstance(A, str):
-        A = expr.parse_expr(A)
-    a_ps = expr.taylor_at(A, z0, degree)
-    c = _recurrence(a_ps.coeffs, f0, df0, degree)
-    trust = min(a_ps.trust_radius, estimate_trust_radius(c))
-    return PowerSeries(complex(z0), c, trust)
 
 
 class _Expansion:
@@ -243,12 +226,6 @@ class ContinuableSolution:
 
     def __call__(self, z):
         return self.jet(z, 0)[0]
-
-    def jet3(self, z):
-        """Order-3 jet; f'' and f''' recovered from the equation itself."""
-        f, df = self.jet(z, 1)
-        a, da = expr.eval_jet(self._system.A, z, 1)
-        return [f, df, -a * f, -da * f - a * df]
 
 
 @dataclass

@@ -82,10 +82,6 @@ class QuotientMap:
         f2 = self._f2(z, 0)[0]
         return 1.0 / (f2 * f2)
 
-    def inv_wprime_abs(self, z):
-        """|1/w'(z)| = |f2(z)|^2; finite everywhere, zero at poles of w."""
-        return abs(self.basis.jet(2, z, 0)[0]) ** 2
-
     def log_wprime_derivative(self, z):
         """(log w')' = w''/w' = -2 f2'/f2."""
         f2, d2 = self._f2(z, 1)
@@ -134,7 +130,7 @@ def stopping_wprime_abs(A, max_generation):
 
 
 # ---------------------------------------------------------------------------
-# bounds and constants
+# the pre-Schwarzian bound
 
 
 def pre_schwarzian_bound_check(h, eta, s, samples, poles=()):
@@ -162,15 +158,6 @@ def pre_schwarzian_bound_check(h, eta, s, samples, poles=()):
     k = int(np.argmax(values))  # the first NaN, if there is one
     value = float(values[k])
     return value, bound, value <= bound + 1e-9, complex(a[k])
-
-
-def defC_constant(t):
-    """K(t) = 3 log((1 + q)/(1 - q)) with q = 2t/(1 + t^2); returns (K, e^K)."""
-    if not 0 < t < 1:
-        raise ValueError("t must lie in (0, 1)")
-    q = 2 * t / (1 + t * t)
-    k = 3.0 * math.log((1 + q) / (1 - q))
-    return k, math.exp(k)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ MAX_DEGREE = 512
 
 
 class TrustRadiusError(ValueError):
-    """A non-positive trust radius, or evaluation or recentering beyond it."""
+    """A non-positive trust radius, or evaluation beyond it."""
 
 
 def estimate_trust_radius(coeffs, tail_tol=TAIL_TOL, safety=TRUST_SAFETY):
@@ -109,18 +109,6 @@ class PowerSeries:
         if not self.trust_radius > 0:
             raise TrustRadiusError("trust_radius must be positive")
 
-    @classmethod
-    def from_coeffs(cls, coeffs, center=0.0, exact=False):
-        """Wrap a coefficient list; ``exact`` marks a true polynomial whose
-        tail vanishes identically (unbounded trust radius)."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        trust = UNBOUNDED_RADIUS if exact else estimate_trust_radius(coeffs)
-        return cls(center, coeffs, trust)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def evaluate(self, z):
         """Horner evaluation; valid only inside the trust radius."""
         z = complex(z)
@@ -134,37 +122,3 @@ class PowerSeries:
         for c in self.coeffs[::-1]:
             acc = acc * u + c
         return acc
-
-    def differentiate(self):
-        if self.degree == 0:
-            coeffs = np.zeros(1, dtype=complex)
-        else:
-            k = np.arange(1, len(self.coeffs))
-            coeffs = self.coeffs[1:] * k
-        return PowerSeries(self.center, coeffs, self.trust_radius)
-
-    def multiply(self, other):
-        self._check_same_center(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        coeffs = mul_trunc(self.coeffs, other.coeffs, n)
-        return PowerSeries(self.center, coeffs, min(self.trust_radius, other.trust_radius))
-
-    def recenter(self, new_center):
-        """Taylor shift; the trust radius shrinks by the shift length."""
-        new_center = complex(new_center)
-        delta = new_center - self.center
-        if abs(delta) >= self.trust_radius:
-            raise TrustRadiusError(
-                f"recenter shift {abs(delta)} exceeds trust radius {self.trust_radius}"
-            )
-        b = self.coeffs.copy()
-        n = len(b)
-        # synthetic-division Taylor shift
-        for i in range(n - 1):
-            for k in range(n - 2, i - 1, -1):
-                b[k] += delta * b[k + 1]
-        return PowerSeries(new_center, b, self.trust_radius - abs(delta))
-
-    def _check_same_center(self, other):
-        if other.center != self.center:
-            raise ValueError("series must share the same center")

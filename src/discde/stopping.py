@@ -111,16 +111,6 @@ class StoppingForest:
     def __post_init__(self):
         stopping_threshold(self.c0, self.eps0)  # validates (c0, eps0)
 
-    @property
-    def big_l(self):
-        """L = C0^(1 + 1/eps0)."""
-        return self.c0 ** (1.0 + 1.0 / self.eps0)
-
-    @property
-    def big_m(self):
-        """M = C0/eps0."""
-        return self.c0 / self.eps0
-
     def length_sums(self):
         return [sum(node.square.ell for node in gen) for gen in self.generations]
 
@@ -251,7 +241,7 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
     Least squares of log-measure against log-lambda on a geometric lambda
     grid spanning the top ``decades`` of the sample range.  Returns
     (p, C, diagnostics dict).  Infinite samples (poles) count above every
-    lambda; a NaN sample raises ValueError.
+    lambda; a NaN sample, or fewer than 8 finite ones, raises ValueError.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 256:
@@ -260,6 +250,9 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
     if n_nan:
         raise ValueError(f"{n_nan} of {len(samples)} samples are NaN")
     finite = samples[np.isfinite(samples)]
+    if len(finite) < 8:
+        raise ValueError(f"{len(finite)} of {len(samples)} samples are "
+                         "finite; the fit needs at least 8")
     top = float(np.max(finite))
     if top <= 0 or float(np.min(finite)) == top:
         raise ValueError("degenerate (constant) samples")

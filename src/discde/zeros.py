@@ -1,6 +1,6 @@
 """Zero localization for analytic functions on discs, plus the geometric
-zero-distribution statistics (Blaschke-type sums, uniform separation,
-a-point separation).
+zero-distribution statistics (pseudo-hyperbolic separation, Jensen's
+identity).
 
 The locator is argument-principle driven: count zeros in |z| < r by the
 winding number of f, localize them from the power-sum moments of the
@@ -266,23 +266,9 @@ def find_zeros(f_jet, r_max=0.99, deflate_origin=False):
 # geometric statistics
 
 
-def blaschke_sum(points, alpha=1.0):
-    """sum (1 - |z|^2)^alpha over the points."""
-    return float(sum((1 - abs(z) ** 2) ** alpha for z in points))
-
-
 def separation_delta(points):
     """min over pairs of the pseudo-hyperbolic distance (1.0 if < 2 points)."""
     return min((rho_p(a, b) for a, b in combinations(points, 2)), default=1.0)
-
-
-def uniform_separation(points, delta=None):
-    """Whether the points are pairwise delta-separated in rho_p; returns
-    (flag, realized minimum)."""
-    realized = separation_delta(points)
-    if delta is None:
-        return realized > 0, realized
-    return realized >= delta, realized
 
 
 def jensen_check(f_jet, zeros, r, n_points=1 << 12):
@@ -301,28 +287,3 @@ def jensen_check(f_jet, zeros, r, n_points=1 << 12):
     mean_log = float(np.mean(np.log(np.abs(vals))))
     zero_part = sum(math.log(r / abs(z)) for z in zeros if abs(z) < r)
     return mean_log - math.log(abs(v0)) - zero_part
-
-
-def a_point_separation(f_jet, a_values, r_max=0.9):
-    """Pairwise-union separation of a-points: for each pair of distinct
-    target values the a-points of both are pooled and the minimal
-    pseudo-hyperbolic gap across the pool is measured.
-
-    ``f_jet`` is elementwise as for ``find_zeros``.  Returns (min over
-    pairs, {(a, b): delta}, {a: a-points}).  A nonvanishing Wronskian
-    forces distinct solutions never to share an a-point, so the pooled gap
-    stays positive.
-    """
-    located = {a: list(find_zeros(_shift_jet(f_jet, a), r_max).zeros)
-               for a in a_values}
-    table = {(a, b): separation_delta(located[a] + located[b])
-             for a, b in combinations(located, 2)}
-    overall = min(table.values()) if table else 1.0
-    return overall, table, located
-
-
-def _shift_jet(f_jet, a):
-    def shifted(z):
-        v, d = f_jet(z)
-        return v - a, d
-    return shifted

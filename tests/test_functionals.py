@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from discde.functionals import (
-    MeasureDensity,
-    RadialProfile,
-    area_integral,
     bloch_seminorm,
     bmoa_seminorm,
     carleson_constant,
-    carleson_embedding_constant,
     circle_mean,
     default_a_net,
     default_sup_radii,
     fp_norm,
     growth_norm,
     measure_of_square,
-    nevanlinna_m,
     normality_sigma,
     polar_quadrature,
     weighted_area_integral,
@@ -41,23 +36,6 @@ def test_circle_mean_exponential():
 def test_circle_mean_power_of_monomial():
     # |z|^p is constant on circles
     assert circle_mean(lambda z: z, 0.5, 3.0) == pytest.approx(0.125)
-
-
-def test_nevanlinna_m_bounded_function():
-    # |f| <= 1 gives zero proximity function
-    assert nevanlinna_m(lambda z: 0.5 * z, 0.9) == 0.0
-
-
-def test_nevanlinna_m_exponential():
-    # m(r, e^z) = (1/2pi) int max(r cos t, 0) dt = r/pi
-    assert nevanlinna_m(np.exp, 0.8) == pytest.approx(0.8 / math.pi, rel=1e-7)
-
-
-def test_radial_profile_monotone_flag():
-    p = RadialProfile([0.1, 0.5, 0.9], [1.0, 2.0, 3.0])
-    assert p.monotone
-    q = RadialProfile([0.1, 0.5], [2.0, 1.0])
-    assert not q.monotone
 
 
 def test_growth_norm_constant():
@@ -103,7 +81,7 @@ def test_polar_quadrature_rejects_radius_outside_disc():
 def test_polar_quadrature_moment():
     # integral of |z|^2 over the disc = pi/2
     nodes, weights = polar_quadrature(0.9999)
-    val = area_integral(lambda z: np.abs(z) ** 2, nodes, weights)
+    val = np.sum(weights * np.abs(nodes) ** 2)
     assert val == pytest.approx(math.pi / 2, rel=1e-3)
 
 
@@ -121,16 +99,8 @@ def test_fp_norm_constant_coefficient():
     assert rep.value == pytest.approx(math.pi / 2, rel=1e-3)
 
 
-def test_carleson_embedding_area_measure():
-    # d(mu) = dm: integrals (1-|a|^2)/|1-conj(a)z|^2 dm stay bounded by pi
-    mu = MeasureDensity(lambda zs: np.ones(len(zs)), tag="area")
-    rep = carleson_embedding_constant(mu)
-    assert rep.value <= math.pi + 1e-6
-    assert rep.value > 1.0
-
-
 def test_carleson_constant_of_area_measure():
-    mu = MeasureDensity(lambda zs: np.ones(len(zs)))
+    mu = lambda zs: np.ones(len(zs))
     best, best_sq = carleson_constant(mu, max_generation=5)
     # m(Q)/l(Q) ~ l(Q)/(2 pi) * (1 - inner^2)/2... shrinks with depth, so
     # the root square wins
@@ -139,7 +109,7 @@ def test_carleson_constant_of_area_measure():
 
 
 def test_measure_of_square_consistency():
-    mu = MeasureDensity(lambda zs: np.ones(len(zs)))
+    mu = lambda zs: np.ones(len(zs))
     q = CarlesonSquare(2, 1)
     m_q = measure_of_square(mu, q, r_max=0.9999)
     c1, c2 = q.children()
@@ -200,8 +170,7 @@ def test_net_angle_count_must_be_a_multiple_of_the_outer_ring():
     with pytest.raises(ValueError):
         fp_norm(one, 1.0, n_theta=128)  # coarsened rule: 64 angles
     with pytest.raises(ValueError):
-        carleson_embedding_constant(MeasureDensity(lambda zs: np.ones(len(zs))),
-                                    n_theta=192)
+        fp_norm(one, 1.0, n_theta=192)
     with pytest.raises(ValueError):
         bmoa_seminorm(one, n_theta=96)
 
@@ -211,8 +180,7 @@ def test_net_suprema_of_non_finite_density_are_nan(bad):
     density = lambda zs: np.where(abs(zs) > 0.5, bad, 1.0)
     assert math.isnan(bmoa_seminorm(lambda zs: density(zs) + 0j).value)
     assert math.isnan(fp_norm(lambda zs: density(zs) + 0j, 1.0).value)
-    assert math.isnan(
-        carleson_embedding_constant(MeasureDensity(density)).value)
+    assert math.isnan(fp_norm(density, 2.0).value)
 
 
 class Recording:
@@ -309,7 +277,7 @@ def test_bjest_area_term_is_the_weighted_area_integral():
 def test_measure_of_square_makes_one_call():
     mu = Recording(lambda zs: np.ones(len(zs)))
     q = CarlesonSquare(3, 2)
-    value = measure_of_square(MeasureDensity(mu), q, r_max=0.9999)
+    value = measure_of_square(mu, q, r_max=0.9999)
     assert len(mu.calls) == 1
     # area of the box: (theta_hi - theta_lo) (r_max^2 - inner^2) / 2
     expected = (q.theta_hi - q.theta_lo) * (0.9999 ** 2 - q.inner_radius ** 2) / 2

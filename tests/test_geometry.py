@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from discde.geometry import (
     CarlesonSquare,
     generation_squares,
-    lambda_threshold,
     maximal_squares,
     phi,
     rho_p,
     rho_p_to_set,
-    root_square,
     stolz_contains,
 )
 
@@ -38,12 +36,6 @@ def test_rho_p_to_empty_set():
     assert rho_p_to_set(0.5, []) == 1.0
 
 
-def test_lambda_threshold_bounds():
-    assert lambda_threshold(0.5) == pytest.approx(28 / 29)
-    for s in (0.01, 0.3, 0.99):
-        assert 0.9 < lambda_threshold(s) < 1
-
-
 def test_generation_counts():
     assert len(generation_squares(1)) == 1
     assert len(generation_squares(5)) == 16
@@ -59,7 +51,8 @@ def test_square_arc_lengths():
 def test_children_partition_father():
     q = CarlesonSquare(3, 2)
     c1, c2 = q.children()
-    assert c1.father() == q and c2.father() == q
+    assert c1.is_descendant_of(q) and c2.is_descendant_of(q)
+    assert c1.generation == c2.generation == q.generation + 1
     assert c1.theta_lo == pytest.approx(q.theta_lo)
     assert c2.theta_hi == pytest.approx(q.theta_hi)
     assert c1.theta_hi == pytest.approx(c2.theta_lo)
@@ -86,25 +79,10 @@ def test_maximal_squares_against_pairwise_test():
         assert maximal_squares(sample) == expected
 
 
-def test_containment():
-    q = CarlesonSquare(2, 1)
-    assert q.contains(0.7j)
-    assert not q.contains(-0.7j)
-    assert not q.contains(0.3j)  # below the inner radius
-    assert q.top_half_contains(0.6j)
-    assert not q.top_half_contains(0.9j)  # above the band
-
-
-def test_top_half_stencil_inside():
-    q = CarlesonSquare(4, 5)
-    for z in q.top_half_stencil():
-        assert q.top_half_contains(z)
-
-
 def test_root_square_covers_circle():
-    q = root_square()
-    assert q.contains(0.99)
-    assert q.contains(-0.99)
+    q = CarlesonSquare(1, 1)
+    assert (q.theta_lo, q.theta_hi) == (0.0, 2 * math.pi)
+    assert q.inner_radius == 0.0
 
 
 def test_stolz_membership():

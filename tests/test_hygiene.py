@@ -1,5 +1,6 @@
 """Source hygiene: no unused module-level imports in the package, no
-private module-level helper that nothing references, every name the
+private module-level helper that nothing references, no public function or
+class that nothing references unless the package exports it, every name the
 package exports resolves, and every function and method the benchmark
 tracer (perfbench/tracer.py) wraps still exists to be wrapped, with the
 jet argument it counts points from still in its place."""
@@ -90,6 +91,29 @@ def test_no_unreferenced_private_helpers():
                        for other in trees.values())
             if not used:
                 unreferenced.append(f"{name}:{node.lineno} {helper}")
+    assert unreferenced == []
+
+
+def test_no_unreferenced_public_definitions():
+    """A public module-level function or class that no other definition in
+    the package references is API that nothing calls; only the names of
+    discde.__all__ may be called from outside alone.  The re-exports of
+    __init__.py are not references."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")
+                    or node.name in discde.__all__):
+                continue
+            used = any(node.name in _references(other, node if other is tree
+                                                else None)
+                       for other in trees.values())
+            if not used:
+                unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert unreferenced == []
 
 

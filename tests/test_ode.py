@@ -12,7 +12,6 @@ from discde.ode import (
     ContinuationError,
     make_basis,
     mobius_transfer,
-    solve_ivp,
 )
 
 COEFFICIENTS = ["0", "1", "-4*z/(1-z)^4", "25", "1/(1-z)"]
@@ -67,25 +66,12 @@ def test_singular_closed_form():
         assert abs(f(z) - target) <= 1e-8 * abs(target)
 
 
-def test_solve_ivp_series():
-    ps = solve_ivp("1", 0.0, 0.0, 1.0)  # sine
-    assert abs(ps.evaluate(0.3) - math.sin(0.3)) < 1e-12
-
-
 def test_combination_linearity():
     basis = make_basis("25")
     f = basis.solution(2.0, -1.0j)
     z = 0.4 + 0.1j
     direct = 2.0 * basis.jet(1, z, 0)[0] - 1.0j * basis.jet(2, z, 0)[0]
     assert abs(f(z) - direct) < 1e-12
-
-
-def test_jet3_uses_equation():
-    basis = make_basis("1")
-    z = 0.3
-    v, d1, d2, d3 = basis.f1.jet3(z)
-    # f1 = cos: third derivative is sin
-    assert abs(d3 - math.sin(z)) < 1e-10
 
 
 def test_mobius_transfer_coefficient_value():
@@ -159,8 +145,8 @@ def test_jet_point_returns_scalars_and_array_keeps_shape():
     values = basis.solution(1.0, 2.0).jet(grid, 2)
     assert [a.shape for a in values] == [(2, 3)] * 3
     assert basis.jet(2, np.zeros(0), 1)[0].shape == (0,)
-    v3 = basis.f2.jet3(0.3 + 0.1j)
-    assert abs(values[0][0, 0] - (v + 2.0 * v3[0])) < 1e-12
+    v2 = basis.f2.jet(0.3 + 0.1j, 0)
+    assert abs(values[0][0, 0] - (v + 2.0 * v2[0])) < 1e-12
 
 
 def test_pole_inside_disc_is_a_continuation_error():

@@ -9,7 +9,6 @@ from discde.ode import make_basis
 from discde.schwarzian import (
     PoleError,
     bjest_check,
-    defC_constant,
     factorize,
     pre_schwarzian_bound_check,
     quotient_from_coefficient,
@@ -60,7 +59,6 @@ def test_quotient_wprime_representation():
     z = 0.11 + 0.07j
     f2 = q.basis.jet(2, z, 0)[0]
     assert abs(q.wprime(z) * f2 * f2 - 1) < 1e-10
-    assert q.inv_wprime_abs(z) == pytest.approx(abs(f2) ** 2)
 
 
 def test_quotient_poles_are_f2_zeros():
@@ -177,7 +175,7 @@ def test_bjest_evaluator_calls():
 def test_quotient_methods_elementwise():
     q = quotient_from_coefficient("25", r_max=0.9)
     zs = np.array([0.1 + 0.05j, -0.2, 0.45j, 0.6 - 0.3j, -0.5 - 0.5j])
-    for method in (q, q.wprime, q.inv_wprime_abs, q.log_wprime_derivative,
+    for method in (q, q.wprime, q.log_wprime_derivative,
                    q.schwarzian_at, q.near_pole):
         batch = np.asarray(method(zs))
         single = np.array([method(z) for z in zs])
@@ -190,17 +188,6 @@ def test_quotient_methods_elementwise():
     assert q.near_pole(near).tolist() == [True, False]
     with pytest.raises(PoleError):
         q(near)
-
-
-def test_defc_constant():
-    k, ek = defC_constant(0.5)
-    assert k == pytest.approx(3 * math.log(9))
-    assert ek == pytest.approx(729.0)
-    ks = [defC_constant(t)[0] for t in np.linspace(0.05, 0.95, 10)]
-    assert all(b > a for a, b in zip(ks, ks[1:]))
-    assert defC_constant(1e-9)[0] < 1e-7
-    with pytest.raises(ValueError):
-        defC_constant(1.5)
 
 
 def test_factorize_reconstruction():

@@ -31,12 +31,6 @@ def test_threshold_values():
         stopping_threshold(10.0, 0.001)
 
 
-def test_derived_constants():
-    forest = build_g0(lambda z: 1.0, 2.0, 0.125)
-    assert forest.big_l == pytest.approx(2.0**9)
-    assert forest.big_m == pytest.approx(16.0)
-
-
 def test_g0_trivial_cases():
     assert build_g0(lambda z: 1.0, 2.0, 0.125).generations[0] == []
     # constant below threshold: the two second-generation squares
@@ -169,6 +163,15 @@ def test_weak_lp_fit_rejects_nan_and_keeps_poles():
 def test_weak_lp_fit_rejects_constant():
     with pytest.raises(ValueError):
         weak_lp_fit(np.ones(512))
+
+
+@pytest.mark.parametrize("n_finite", [5, 0])
+def test_weak_lp_fit_needs_eight_finite_samples(n_finite):
+    # poles count above every lambda, but the window needs finite samples
+    samples = np.r_[np.full(300, np.inf), np.arange(1.0, n_finite + 1)]
+    with pytest.raises(ValueError, match=f"{n_finite} of {300 + n_finite} "
+                                         "samples are finite"):
+        weak_lp_fit(samples)
 
 
 def test_distribution_function():

@@ -195,14 +195,14 @@ def test_cli_coefficient_with_leading_minus(tmp_path):
 
 def test_s5_reports_a_square_over_its_grand_descendant(monkeypatch):
     from discde import suites
-    from discde.geometry import CarlesonSquare, root_square
+    from discde.geometry import CarlesonSquare
     from discde.stopping import StoppingNode
 
     def overlapping_generation(forest):
         if len(forest.generations) == 1:
             forest.generations.append([
-                StoppingNode(CarlesonSquare(3, 2), 1.0, 1, root_square()),
-                StoppingNode(CarlesonSquare(5, 6), 1.0, 1, root_square())])
+                StoppingNode(CarlesonSquare(3, 2), 1.0, 1, CarlesonSquare(1, 1)),
+                StoppingNode(CarlesonSquare(5, 6), 1.0, 1, CarlesonSquare(1, 1))])
 
     monkeypatch.setattr(suites, "refine_generation", overlapping_generation)
     report = run_suite("S5", Scenario(coefficient="1", max_generation=6))
@@ -288,6 +288,23 @@ def test_cli_value_out_of_range_exits_2(tmp_path, capsys, argv, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert value in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--coefficient", "1"],
+    ["verify", "S6", "--coefficient", "1"],
+])
+def test_cli_out_below_a_regular_file_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    code = main(argv + ["--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(blocker / "sub") in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_cli_norms_accepts_growth_exponent_below_stolz_range(tmp_path):

@@ -8,13 +8,10 @@ from discde.geometry import phi, rho_p
 from discde.ode import make_basis
 from discde.zeros import (
     ZeroLocationError,
-    a_point_separation,
-    blaschke_sum,
     count_zeros,
     find_zeros,
     jensen_check,
     separation_delta,
-    uniform_separation,
 )
 
 
@@ -70,17 +67,9 @@ def test_jensen_certifies_completeness():
     assert abs(bad) > 1e-2
 
 
-def test_blaschke_sum():
-    assert blaschke_sum([0.5, 0.5j]) == pytest.approx(1.5)
-    assert blaschke_sum([0.5], alpha=2.0) == pytest.approx(0.5625)
-
-
 def test_separation():
     pts = [0.0, 0.5]
     assert separation_delta(pts) == pytest.approx(0.5)
-    ok, realized = uniform_separation(pts, delta=0.4)
-    assert ok and realized == pytest.approx(0.5)
-    assert not uniform_separation(pts, delta=0.6)[0]
     assert separation_delta([0.3]) == 1.0
 
 
@@ -92,13 +81,6 @@ def test_separation_mobius_invariant(a):
     moved = [phi(a, p) for p in pts]
     assert separation_delta(moved) == pytest.approx(separation_delta(pts),
                                                     abs=1e-10)
-
-
-def test_a_point_separation_of_cosine():
-    overall, table, located = a_point_separation(cos5, [0.0, 0.5], r_max=0.9)
-    # cos(5z) = 0 and = 0.5 interlace; pooled points never collide
-    assert overall > 0
-    assert len(located[0.0]) > 0 and len(located[0.5]) > 0
 
 
 def test_find_zeros_respects_small_r_max():
