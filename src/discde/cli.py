@@ -3,8 +3,9 @@ verify <suite>, report.
 
 Exit codes: 0 success, 1 a verification check failed or a computation
 failed (ContinuationError, ZeroLocationError), 2 a usage or scenario error
-or an OSError, such as an ``--out`` that cannot be made a directory; exit 2
-prints one ``error:`` line on standard error.
+or an OSError, such as an ``--out`` that cannot be made a directory, a
+``--max-generation`` outside [2, 20], or a ``stoptime`` maximal function
+with no finite positive sample; exit 2 prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -185,7 +186,10 @@ def cmd_stoptime(scenario):
     _, samples = nontangential_max_inv(wprime_abs, alpha=alpha,
                                        n_theta=256, r_max=0.995, n_radii=16)
     dist_path = _out_path(scenario, "distribution.csv")
-    dump_distribution_csv(samples, dist_path)
+    try:
+        dump_distribution_csv(samples, dist_path)
+    except ValueError as exc:  # no finite positive sample to anchor on
+        raise ScenarioError(f"maximal function of 1/|w'|: {exc}") from None
     print(dist_path)
     summary = {
         "g0_size": len(forest.generations[0]),

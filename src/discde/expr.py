@@ -19,7 +19,6 @@ import numpy as np
 
 from .series import (
     MAX_DEGREE,
-    TAIL_TOL,
     PowerSeries,
     div_trunc,
     estimate_trust_radius,
@@ -455,14 +454,14 @@ def evaluate(node, z):
     return eval_jet(node, z, 0)[0]
 
 
-def taylor_at(node, center, degree, max_degree=MAX_DEGREE, tail_tol=TAIL_TOL):
+def taylor_at(node, center, degree):
     """Taylor expansion as a PowerSeries; trust radius certified from the tail."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree > max_degree:
-        raise ValueError(f"degree {degree} exceeds configured maximum {max_degree}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the maximum {MAX_DEGREE}")
     coeffs = series_coefficients(node, center, degree + 1)
-    return PowerSeries(complex(center), coeffs, estimate_trust_radius(coeffs, tail_tol=tail_tol))
+    return PowerSeries(complex(center), coeffs, estimate_trust_radius(coeffs))
 
 
 def eval_array(node, zs):

@@ -169,7 +169,7 @@ def _radial_rule(lo, r_max, n_radial):
 
 
 def weighted_area_integral(A, p, beta, r_maxes=(0.9, 0.99, 0.999),
-                           n_radial=64, n_theta=256):
+                           n_radial=64):
     """integral over D of |A|^p (1-|z|^2)^beta dm, with a truncation trend.
 
     Returns (value at the largest r_max, [(r_max, value)] trend).
@@ -178,24 +178,23 @@ def weighted_area_integral(A, p, beta, r_maxes=(0.9, 0.99, 0.999),
         raise ValueError("p must be positive")
     trend = []
     for r_max in sorted(r_maxes):
-        nodes, weights = polar_quadrature(r_max, n_radial, n_theta)
+        nodes, weights = polar_quadrature(r_max, n_radial)
         vals = np.abs(np.asarray(A(nodes), dtype=complex)) ** p
         vals = vals * (1 - np.abs(nodes) ** 2) ** beta
         trend.append((r_max, float(np.sum(weights * vals))))
     return trend[-1][1], trend
 
 
-def _net_rings(max_depth, base_angles=8):
+def _net_rings(max_depth):
     """(radius, point count) of each ring of the a-net, the origin first."""
-    return [(0.0, 1)] + [(1 - 2.0 ** (-j), base_angles * 2 ** j)
+    return [(0.0, 1)] + [(1 - 2.0 ** (-j), 8 * 2 ** j)
                          for j in range(1, max_depth + 1)]
 
 
-def default_a_net(max_depth=10, base_angles=8):
+def default_a_net(max_depth=10):
     """Pseudo-hyperbolically spread net {r_j e^(i theta)}: r_j = 1 - 2^-j with
     2^(j+3) angles per ring (boundary-concentrated, Möbius-aware)."""
-    return [a for r, n in _net_rings(max_depth, base_angles)
-            for a in r * unit_roots(n)]
+    return [a for r, n in _net_rings(max_depth) for a in r * unit_roots(n)]
 
 
 @dataclass
@@ -223,12 +222,9 @@ def _net_values(depth, rule):
     the weighted rule at each a of default_a_net(depth), in its order.  The
     kernel depends on the angles only through cos(arg z - arg a), so an
     m-point ring is every (n/m)-th entry of one circular convolution over the
-    n angles, which m must divide."""
+    n angles, which m divides in the rules of fp_norm and bmoa_seminorm."""
     radii, weighted = rule
-    n, m_outer = weighted.shape[1], _net_rings(depth)[-1][1]
-    if n % m_outer:
-        raise ValueError(f"{n} angles are not a multiple of {m_outer}, "
-                         "the points on the outer ring of the net")
+    n = weighted.shape[1]
     r, cos = radii[:, None], np.cos(TWO_PI * np.arange(n) / n)
     spectrum, rings = np.fft.rfft(weighted), []
     for rho, m in _net_rings(depth):
@@ -252,13 +248,13 @@ def _net_sup(depth, density, r_max, n_radial, n_theta, coarse_factor=2):
                         float(abs(values[k] - coarse[k])))
 
 
-def fp_norm(A, p, r_max=0.999, n_radial=64, n_theta=256):
+def fp_norm(A, p):
     """Lower bound for the Carleson-type coefficient norm
 
         sup_a ( integral |A|^p (1-|z|^2)^(2p-2) (1-|phi_a(z)|^2) dm )^(1/p)
 
-    over the 4-ring default_a_net: n_theta and max(64, n_theta // 2) must
-    be multiples of 128.  NaN when A is not finite on a node.
+    over the 4-ring default_a_net and a 256-angle polar rule to 0.999.  NaN
+    when A is not finite on a node.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -268,7 +264,7 @@ def fp_norm(A, p, r_max=0.999, n_radial=64, n_theta=256):
         return (np.abs(np.asarray(A(nodes), dtype=complex)) ** p
                 * (1 - np.abs(nodes) ** 2) ** (2 * p - 1))
 
-    report = _net_sup(4, density, r_max, n_radial, n_theta)
+    report = _net_sup(4, density, 0.999, 64, 256)
     report.value = report.value ** (1.0 / p)
     return report
 
@@ -299,10 +295,10 @@ def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64
     return best, best_sq
 
 
-def bmoa_seminorm(fprime, r_max=0.99, n_radial=48, n_theta=128):
+def bmoa_seminorm(fprime, r_max=0.99):
     """Net-sup lower bound for the square root of sup_a integral |f'|^2
-    (1 - |phi_a(z)|^2) dm over the 3-ring default_a_net: n_theta must be a
-    multiple of 64.  NaN when f' is not finite on a node.
+    (1 - |phi_a(z)|^2) dm over the 3-ring default_a_net and a 128-angle polar
+    rule to r_max.  NaN when f' is not finite on a node.
 
     ``fprime`` is a vectorized evaluator of the derivative: it maps an array
     of points to the array of values.
@@ -312,6 +308,6 @@ def bmoa_seminorm(fprime, r_max=0.99, n_radial=48, n_theta=128):
         return (np.abs(np.asarray(fprime(nodes), dtype=complex)) ** 2
                 * (1 - np.abs(nodes) ** 2))
 
-    report = _net_sup(3, density, r_max, n_radial, n_theta, coarse_factor=1)
+    report = _net_sup(3, density, r_max, 48, 128, coarse_factor=1)
     report.value = math.sqrt(max(report.value, 0.0))
     return report

@@ -27,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
-from .series import DEFAULT_DEGREE, TrustRadiusError, estimate_trust_radius
+from . import expr, geometry
+from .series import TrustRadiusError, estimate_trust_radius
 
 DEFAULT_R_MAX = 0.999
+# Taylor degree of every expansion, of A and of the solutions alike.
+_DEGREE = 64
 _COVER_FRAC = 0.75
 _STEP_FRAC = 0.5
 _MAX_STEPS = 500
@@ -89,9 +91,8 @@ class _Expansion:
 class ContinuableSystem:
     """Several solutions of the same equation continued along shared centers."""
 
-    def __init__(self, A, ics, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
+    def __init__(self, A, ics, r_max=DEFAULT_R_MAX):
         self.A = expr.parse_expr(A) if isinstance(A, str) else A
-        self.degree = degree
         self.r_max = r_max
         self._expansions = []
         self._centers = np.zeros(0, dtype=complex)
@@ -102,12 +103,12 @@ class ContinuableSystem:
         # overflow near a pole of A yields a NaN trust, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                a_ps = expr.taylor_at(self.A, center, self.degree)
+                a_ps = expr.taylor_at(self.A, center, _DEGREE)
             except TrustRadiusError as exc:
                 raise ContinuationError(
                     f"trust radius collapsed at {center} (singularity of A?)"
                 ) from exc
-            coeffs = np.array([_recurrence(a_ps.coeffs, f0, df0, self.degree)
+            coeffs = np.array([_recurrence(a_ps.coeffs, f0, df0, _DEGREE)
                                for f0, df0 in local_ics])
             trust = min([a_ps.trust_radius]
                         + [estimate_trust_radius(c) for c in coeffs])
@@ -194,7 +195,7 @@ class ContinuableSystem:
         if not r <= self.r_max * (1 + 1e-12):
             raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
         out = np.empty((order + 1, flat.size), dtype=complex)
-        step = max(1, _BLOCK_CELLS // (len(self._expansions) + self.degree + 1))
+        step = max(1, _BLOCK_CELLS // (len(self._expansions) + _DEGREE + 1))
         for i in range(0, flat.size, step):
             out[:, i:i + step] = self._jet_block(index, flat[i:i + step], order)
         return list(out.reshape((order + 1,) + zs.shape))
@@ -207,8 +208,8 @@ class ContinuableSolution:
     holds one solution index or one weight vector over the solutions, so each
     of its evaluations is one system call."""
 
-    def __init__(self, A, f0, df0, degree=DEFAULT_DEGREE, r_max=DEFAULT_R_MAX):
-        self._system = ContinuableSystem(A, [(f0, df0)], degree, r_max)
+    def __init__(self, A, f0, df0):
+        self._system = ContinuableSystem(A, [(f0, df0)])
         self._index = 0
 
     @classmethod
@@ -237,11 +238,11 @@ class SolutionBasis:
     wronskian_target: complex
 
     def jet(self, which, z, order=2):
-        if which in ("f1", 1):
+        if which == 1:
             return self.f1.jet(z, order)
-        if which in ("f2", 2):
+        if which == 2:
             return self.f2.jet(z, order)
-        raise ValueError("which must be 'f1'/1 or 'f2'/2")
+        raise ValueError("which must be 1 or 2")
 
     def wronskian(self, z):
         v1, d1 = self.f1.jet(z, 1)
@@ -254,20 +255,15 @@ class SolutionBasis:
             self.f1._system, np.array([alpha, beta], dtype=complex))
 
 
-def make_basis(A, wronskian_target=1.0, ics=None, degree=DEFAULT_DEGREE,
-               r_max=DEFAULT_R_MAX):
-    """Build a basis; default normalization f1(0)=1, f1'(0)=0, f2(0)=0,
-    f2'(0)=wronskian_target.  Explicit ``ics`` = ((f1_0, f1'_0), (f2_0, f2'_0))
-    override it, and the Wronskian target is then computed from them."""
-    if ics is None:
-        ics = ((1.0, 0.0), (0.0, wronskian_target))
-        target = complex(wronskian_target)
-    else:
-        (a0, a1), (b0, b1) = ics
-        target = complex(a0 * b1 - a1 * b0)
-        if target == 0:
-            raise ValueError("initial conditions give a degenerate (zero-Wronskian) pair")
-    system = ContinuableSystem(A, list(ics), degree=degree, r_max=r_max)
+def make_basis(A, ics=((1.0, 0.0), (0.0, 1.0)), r_max=DEFAULT_R_MAX):
+    """Build the basis with ``ics`` = ((f1_0, f1'_0), (f2_0, f2'_0)), by
+    default f1(0)=1, f1'(0)=0, f2(0)=0, f2'(0)=1; the Wronskian target is
+    f1_0 f2'_0 - f1'_0 f2_0."""
+    (a0, a1), (b0, b1) = ics
+    target = complex(a0 * b1 - a1 * b0)
+    if target == 0:
+        raise ValueError("initial conditions give a degenerate (zero-Wronskian) pair")
+    system = ContinuableSystem(A, list(ics), r_max=r_max)
     return SolutionBasis(ContinuableSolution._on(system, 0),
                          ContinuableSolution._on(system, 1), target)
 
@@ -289,7 +285,7 @@ class MobiusTransferred:
 
     B(zeta) = A(phi(zeta)) * phi'(zeta)^2; the Schwarzian of a Möbius map
     vanishes, so no extra term appears.  ``transform_solution`` realizes
-    g(zeta) = gamma * f(phi(zeta)) * phi'(zeta)^(-1/2) with the branch fixed
+    g(zeta) = f(phi(zeta)) * phi'(zeta)^(-1/2) with the branch fixed
     by the principal square root at zeta = 0; since
     phi'(zeta) = (|kappa|^2-1)/(1 - conj(kappa) zeta)^2, the branch is the
     globally analytic c*(1 - conj(kappa) zeta) with c = 1/sqrt(phi'(0)).
@@ -307,8 +303,7 @@ class MobiusTransferred:
         self.B = expr.BinOp("*", expr.substitute(A, phi), dphi_sq)
 
     def phi(self, zeta):
-        k = self.kappa
-        return (k - zeta) / (1 - k.conjugate() * zeta)
+        return geometry.phi(self.kappa, zeta)
 
     def dphi(self, zeta):
         k = self.kappa
@@ -318,17 +313,16 @@ class MobiusTransferred:
         k = self.kappa
         return 2 * k.conjugate() * (abs(k) ** 2 - 1) / (1 - k.conjugate() * zeta) ** 3
 
-    def transform_solution(self, f, gamma=1.0):
-        return _TransferredSolution(self, f, complex(gamma))
+    def transform_solution(self, f):
+        return _TransferredSolution(self, f)
 
 
 class _TransferredSolution:
-    """g(zeta) = gamma * f(phi(zeta)) * c * (1 - conj(kappa) zeta)."""
+    """g(zeta) = f(phi(zeta)) * c * (1 - conj(kappa) zeta)."""
 
-    def __init__(self, transfer, f, gamma):
+    def __init__(self, transfer, f):
         self.transfer = transfer
         self.f = f
-        self.gamma = gamma
         self.c = 1.0 / np.sqrt(complex(transfer.dphi(0.0)))
 
     def jet(self, zeta, order=2):
@@ -339,13 +333,13 @@ class _TransferredSolution:
         d2phi = t.d2phi(zeta)
         fj = self.f.jet(w, order)
         lin = 1 - kbar * zeta
-        pref = self.gamma * self.c
-        out = [pref * fj[0] * lin]
+        c = self.c
+        out = [c * fj[0] * lin]
         if order >= 1:
-            out.append(pref * (fj[1] * dphi * lin - kbar * fj[0]))
+            out.append(c * (fj[1] * dphi * lin - kbar * fj[0]))
         if order >= 2:
-            out.append(pref * (fj[2] * dphi ** 2 * lin
-                               + fj[1] * (d2phi * lin - 2 * kbar * dphi)))
+            out.append(c * (fj[2] * dphi ** 2 * lin
+                            + fj[1] * (d2phi * lin - 2 * kbar * dphi)))
         return out
 
     def __call__(self, zeta):

@@ -103,14 +103,13 @@ class QuotientMap:
         return schwarzian(self.jet3(z))
 
 
-def quotient_from_coefficient(A, r_max=0.95, degree=None):
+def quotient_from_coefficient(A, r_max=0.95):
     """Canonical quotient for a coefficient: the pair f1(0)=0, f1'(0)=1,
     f2(0)=1, f2'(0)=0 has Wronskian -1 and normalizes w(0)=0, w'(0)=1."""
     from .ode import make_basis
 
-    kwargs = {} if degree is None else {"degree": degree}
     basis = make_basis(A, ics=((0.0, 1.0), (1.0, 0.0)),
-                       r_max=max(r_max, 0.97), **kwargs)
+                       r_max=max(r_max, 0.97))
     return QuotientMap(basis, r_max=r_max)
 
 
@@ -189,16 +188,15 @@ class Factorization:
         return self.g(z) * self.w_factor(z)
 
 
-def factorize(quotient, alpha, beta, r_max=None):
+def factorize(quotient, alpha, beta):
     """Factor f = alpha f1 + beta f2 as g * W, W = alpha w + beta.
 
-    Requires f2 zero-free on the working disc (the quotient has no poles
-    there).  log g = log f2 comes from ``zeros.analytic_log`` and
+    Requires f2 zero-free on the quotient's disc |z| <= r_max (the quotient
+    has no poles there).  log g = log f2 comes from ``zeros.analytic_log`` and
     log w' = -2 log f2 from the same call, so exp(log g)^2 * w' = 1 holds
     identically; every callable of the result is elementwise.
     """
-    r_max = quotient.r_max if r_max is None else r_max
-    if any(abs(p) <= r_max for p in quotient.poles):
+    if any(abs(p) <= quotient.r_max for p in quotient.poles):
         raise PoleError(
             "factorization requires a zero-free f2 on the working disc"
         )
@@ -233,24 +231,24 @@ def factorize(quotient, alpha, beta, r_max=None):
 # logarithm mean-growth comparison
 
 
-def bjest_check(f_jet, A_eval, r, n_theta=1 << 10, n_radial=48):
+def bjest_check(f_jet, A_eval, r):
     """Circle mean of |log(f/f(0))|^2 against the two right-hand terms
 
         r^2 |f'(0)/f(0)|^2   and   r^2 * integral_{|z|<r} |A|^2 (1-|z|^2)^3 dm
 
-    for a zero-free solution f: log f from one ``analytic_log`` call on the
-    n_theta points of the circle, the integral from weighted_area_integral.
+    for a zero-free solution f: log f from one ``analytic_log`` call on 1024
+    points of the circle, the integral from weighted_area_integral.
     Returns (lhs, (term1, term2), ratio); the comparison constant is the
     fitted ratio, never assumed.
     """
     from .functionals import weighted_area_integral
 
     v0, d0 = f_jet(0.0)
-    logs = analytic_log(f_jet, r * unit_roots(n_theta)) - np.log(complex(v0))
+    logs = analytic_log(f_jet, r * unit_roots(1 << 10)) - np.log(complex(v0))
     lhs = float(np.mean(np.abs(logs) ** 2))
     term1 = r * r * abs(d0 / v0) ** 2
     term2 = r * r * weighted_area_integral(A_eval, 2, 3, r_maxes=(r,),
-                                           n_radial=n_radial)[0]
+                                           n_radial=48)[0]
     rhs = term1 + term2
     ratio = 0.0 if lhs == 0.0 and rhs == 0.0 else lhs / rhs
     return lhs, (term1, term2), ratio

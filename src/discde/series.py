@@ -21,7 +21,6 @@ TRUST_SAFETY = 0.75
 # Stand-in radius for series whose tail vanishes identically (polynomials).
 UNBOUNDED_RADIUS = 1e9
 
-DEFAULT_DEGREE = 64
 MAX_DEGREE = 512
 
 
@@ -29,11 +28,11 @@ class TrustRadiusError(ValueError):
     """A non-positive trust radius, or evaluation beyond it."""
 
 
-def estimate_trust_radius(coeffs, tail_tol=TAIL_TOL, safety=TRUST_SAFETY):
-    """Largest radius at which the extrapolated tail stays below tolerance.
+def estimate_trust_radius(coeffs):
+    """Largest radius at which the extrapolated tail stays below TAIL_TOL.
 
     Ratio test on the trailing window of 8 coefficients, geometric
-    extrapolation of the tail, conservative by the safety factor.  A series
+    extrapolation of the tail, conservative by TRUST_SAFETY.  A series
     with an identically vanishing trailing window (a polynomial at this
     resolution) gets UNBOUNDED_RADIUS.
     """
@@ -47,7 +46,7 @@ def estimate_trust_radius(coeffs, tail_tol=TAIL_TOL, safety=TRUST_SAFETY):
         trailing_zeros += 1
     if trailing_zeros >= min(4, n_top):
         return UNBOUNDED_RADIUS
-    tol = tail_tol * scale
+    tol = TAIL_TOL * scale
     window = [k for k in range(max(1, n_top - 7), n_top + 1) if a[k] > 0.0]
     if not window:
         return UNBOUNDED_RADIUS
@@ -69,7 +68,7 @@ def estimate_trust_radius(coeffs, tail_tol=TAIL_TOL, safety=TRUST_SAFETY):
             if tail <= tol:
                 break
             r *= 0.93
-    return safety * r
+    return TRUST_SAFETY * r
 
 
 def mul_trunc(a, b, n):

@@ -31,6 +31,10 @@ DEFAULT_EPS0 = 0.125
 
 _TINY = np.finfo(float).tiny
 
+# lambda grid of weak_lp_fit and dump_distribution_csv: the top decades
+_DECADES = 2.0
+_POINTS_PER_DECADE = 64
+
 
 class ThresholdUnderflowError(ValueError):
     """C0^(-1/eps0) underflows double precision."""
@@ -135,15 +139,12 @@ def build_g0(wprime_abs, c0=DEFAULT_C0, eps0=DEFAULT_EPS0,
     return forest
 
 
-def refine_generation(forest, n=None):
-    """Build generation n+1 by refining every square of generation n with
+def refine_generation(forest):
+    """Build generation n+1 by refining every square of the newest, n, with
     threshold eps0 * |w'(z_Q)|; records the per-square length-decay result."""
     if not forest.generations:
         raise ValueError("generation 0 has not been built")
-    if n is None:
-        n = len(forest.generations) - 1
-    if n != len(forest.generations) - 1:
-        raise ValueError("only the newest generation can be refined")
+    n = len(forest.generations) - 1
     next_gen, unresolved_here = [], []
     for node in forest.generations[n]:
         threshold = forest.eps0 * node.wprime_abs
@@ -235,11 +236,11 @@ def distribution_function(samples, lambdas):
     return np.array([cell * np.count_nonzero(samples > lam) for lam in lambdas])
 
 
-def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
+def weak_lp_fit(samples):
     """Fit measure{samples > lambda} ~ C * lambda^(-p) over the top decades.
 
     Least squares of log-measure against log-lambda on a geometric lambda
-    grid spanning the top ``decades`` of the sample range.  Returns
+    grid spanning the top ``_DECADES`` of the sample range.  Returns
     (p, C, diagnostics dict).  Infinite samples (poles) count above every
     lambda; a NaN sample, or fewer than 8 finite ones, raises ValueError.
     """
@@ -259,8 +260,8 @@ def weak_lp_fit(samples, points_per_decade=64, decades=2.0):
     # anchor the window where exceedance counts are resolved (>= 8 samples
     # above the top), not at the raw maximum where counts quantize to 0/1
     lam_hi = float(np.sort(finite)[-8]) * (1 - 1e-12)
-    lam_lo = lam_hi / 10.0 ** decades
-    n_pts = int(points_per_decade * decades)
+    lam_lo = lam_hi / 10.0 ** _DECADES
+    n_pts = int(_POINTS_PER_DECADE * _DECADES)
     lambdas = np.geomspace(lam_lo, lam_hi, n_pts)
     measure = distribution_function(samples, lambdas)
     keep = measure > 0
@@ -291,12 +292,16 @@ def dump_forest_jsonl(forest, path):
     write_atomic(path, write)
 
 
-def dump_distribution_csv(samples, path, points_per_decade=64, decades=2.0):
+def dump_distribution_csv(samples, path):
+    """measure{samples > lambda} below the largest finite sample, as CSV;
+    ValueError, and no file, when no sample is finite and positive."""
     samples = np.asarray(samples, dtype=float)
     finite = samples[np.isfinite(samples)]
+    if not np.any(finite > 0):
+        raise ValueError(f"0 of {len(samples)} samples are finite and positive")
     top = float(np.max(finite))
-    lambdas = np.geomspace(top / 10.0 ** decades, top * (1 - 1e-12),
-                           int(points_per_decade * decades))
+    lambdas = np.geomspace(top / 10.0 ** _DECADES, top * (1 - 1e-12),
+                           int(_POINTS_PER_DECADE * _DECADES))
     measure = distribution_function(samples, lambdas)
     rows = [["lambda", "measure"]] + list(zip(lambdas.tolist(),
                                               measure.tolist()))

@@ -99,9 +99,10 @@ class Scenario:
             raise ScenarioError("rmax must lie in (0, 1)")
         if any(not 0 < r < 1 for r in self.radii):
             raise ScenarioError("all radii must lie in (0, 1)")
-        if self.max_generation < 2:
+        if not 2 <= self.max_generation <= 20:
             raise ScenarioError(f"max_generation = {self.max_generation} must "
-                                "be at least 2: G0 starts at generation 2")
+                                "lie in [2, 20]: G0 starts at generation 2, and "
+                                "a descent visits up to 2^max_generation squares")
         for s in self.suites:
             if s not in SUITE_IDS:
                 raise ScenarioError(f"unknown suite {s!r}")

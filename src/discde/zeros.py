@@ -51,14 +51,14 @@ def _degenerate(vals):
     return bool(np.any(vals == 0) or np.any(~np.isfinite(vals)))
 
 
-def count_zeros(f_jet, center, r, n_start=64, n_max=_MAX_COUNT_POINTS):
+def count_zeros(f_jet, center, r, n_max=_MAX_COUNT_POINTS):
     """Number of zeros in |z - center| < r by the argument principle.
 
-    Trapezoid sums of f'/f on the circle are doubled until the estimate is
-    within 1/4 of an integer and stable across one doubling; each level is
-    one ``f_jet`` call.
+    Trapezoid sums of f'/f on the circle, from 64 points, are doubled until
+    the estimate is within 1/4 of an integer and stable across one doubling;
+    each level is one ``f_jet`` call.
     """
-    n = n_start
+    n = 64
     prev = None
     nudges = 0
     while n <= n_max:
@@ -156,7 +156,7 @@ def _newton_polish(f_jet, z0, tol=_NEWTON_TOL, max_iter=60):
 def _certify(f_jet, zero, radius):
     """Winding number 1 on a small circle around the polished zero."""
     try:
-        return count_zeros(f_jet, zero, radius, n_start=64, n_max=4096) == 1
+        return count_zeros(f_jet, zero, radius, n_max=4096) == 1
     except ZeroLocationError:
         return False
 
@@ -271,8 +271,8 @@ def separation_delta(points):
     return min((rho_p(a, b) for a, b in combinations(points, 2)), default=1.0)
 
 
-def jensen_check(f_jet, zeros, r, n_points=1 << 12):
-    """Jensen identity residual on |z| = r:
+def jensen_check(f_jet, zeros, r):
+    """Jensen identity residual on |z| = r, from 4096 points:
 
         mean of log|f| - log|f(0)| - sum_{|z_i|<r} log(r/|z_i|).
 
@@ -280,7 +280,7 @@ def jensen_check(f_jet, zeros, r, n_points=1 << 12):
     ``f_jet`` is called on the circle and at 0; a zero or non-finite value
     there raises ``ZeroLocationError``.
     """
-    _, vals, _ = _values_on_circle(f_jet, 0.0, r, n_points)
+    _, vals, _ = _values_on_circle(f_jet, 0.0, r, 1 << 12)
     v0 = f_jet(0.0)[0]
     if _degenerate(np.append(vals, v0)):
         raise ZeroLocationError(f"f is 0 or not finite on |z| = {r} or at 0")

@@ -163,18 +163,6 @@ def test_net_values_match_closed_form_kernels(depth):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 
 
-def test_net_angle_count_must_be_a_multiple_of_the_outer_ring():
-    one = lambda zs: np.ones_like(zs)
-    with pytest.raises(ValueError):
-        fp_norm(one, 1.0, n_theta=200)
-    with pytest.raises(ValueError):
-        fp_norm(one, 1.0, n_theta=128)  # coarsened rule: 64 angles
-    with pytest.raises(ValueError):
-        fp_norm(one, 1.0, n_theta=192)
-    with pytest.raises(ValueError):
-        bmoa_seminorm(one, n_theta=96)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_net_suprema_of_non_finite_density_are_nan(bad):
     density = lambda zs: np.where(abs(zs) > 0.5, bad, 1.0)

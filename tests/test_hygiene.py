@@ -1,7 +1,8 @@
 """Source hygiene: no unused module-level imports in the package, no
 private module-level helper that nothing references, no public function or
-class that nothing references unless the package exports it, every name the
-package exports resolves, and every function and method the benchmark
+class that nothing references unless the package exports it, no defaulted
+parameter that no call passes, every name the package exports resolves, and
+every function and method the benchmark
 tracer (perfbench/tracer.py) wraps still exists to be wrapped, with the
 jet argument it counts points from still in its place."""
 
@@ -115,6 +116,77 @@ def test_no_unreferenced_public_definitions():
             if not used:
                 unreferenced.append(f"{name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def _calls():
+    """Per called name (a function, a method, or a class for its
+    __init__), the (positional count, keywords, splat) of every call in
+    the package and in perfbench/; splat is whether a *args or **kwargs
+    argument may pass any parameter."""
+    calls = {}
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(
+        (PACKAGE.parents[1] / "perfbench").glob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+            splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                     or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (positional, {k.arg for k in node.keywords}, splat))
+    return calls
+
+
+def _defaulted_parameters(tree):
+    """(called name, definition, [(position, parameter)]) of every public
+    module-level function, every public method and every __init__ of a
+    module-level class; a method's positions count after self or cls."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(node.name if m.name == "__init__" else m.name, m, 1)
+                    for m in node.body if isinstance(m, ast.FunctionDef)
+                    and (m.name == "__init__" or not m.name.startswith("_"))]
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            defs = [(node.name, node, 0)]
+        else:
+            continue
+        for name, fn, skip in defs:
+            args = fn.args
+            params = args.posonlyargs + args.args
+            first = len(params) - len(args.defaults)
+            found = [(k - skip, p.arg) for k, p in enumerate(params)
+                     if k >= first]
+            found += [(None, p.arg) for p, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                      if d is not None]
+            yield name, fn, found
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter of a function or method that code in the
+    package or the benchmark calls, matched by name, must be passed by one
+    of those calls: by keyword, by position or through a splat.  One that
+    no call passes is a setting with one value in use, a constant in the
+    body.  Functions that nothing calls are left to the __all__ rule."""
+    calls = _calls()
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn, params in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            sites = calls.get(name)
+            if not sites:
+                continue
+            for position, param in params:
+                if not any(splat or param in keywords
+                           or (position is not None and position < positional)
+                           for positional, keywords, splat in sites):
+                    unpassed.append(f"{path.name}:{fn.lineno} {name}: {param}")
+    assert unpassed == []
 
 
 def test_exports_resolve():

@@ -209,3 +209,11 @@ def test_distribution_csv_cells_are_plain_floats(tmp_path):
              for c in line.split(",")]
     assert cells and not any("np." in c for c in cells)
     assert all(math.isfinite(float(c)) for c in cells)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+def test_distribution_csv_needs_a_finite_positive_sample(tmp_path, bad):
+    path = tmp_path / "dist.csv"
+    with pytest.raises(ValueError, match="0 of 300 samples are finite"):
+        dump_distribution_csv(np.full(300, bad), path)
+    assert list(tmp_path.iterdir()) == []

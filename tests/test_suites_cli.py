@@ -357,6 +357,35 @@ def test_cli_max_generation_below_two_exits_2(tmp_path, capsys, argv, code):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_max_generation_above_twenty_exits_2(tmp_path, capsys):
+    # the descent visits up to 2^max_generation squares when none is selected
+    Scenario(max_generation=20)
+    with pytest.raises(ScenarioError, match="max_generation = 21"):
+        Scenario(max_generation=21)
+    assert main(["verify", "S6", "--max-generation", "21",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_generation = 21")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_stoptime_without_a_finite_sample_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    from discde import cli
+
+    def all_poles(wprime_abs, alpha, n_theta, r_max, n_radii):
+        return np.zeros(n_theta), np.full(n_theta, np.inf)
+
+    monkeypatch.setattr(cli, "nontangential_max_inv", all_poles)
+    code = main(["stoptime", "--max-generation", "4", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "0 of 256 samples are finite" in err
+    assert not (tmp_path / "distribution.csv").exists()
+
+
 def test_config_max_generation_below_two_exits_2(tmp_path, capsys):
     cfg = tmp_path / "shallow.cfg"
     cfg.write_text("max_generation = 1\n")
