@@ -180,16 +180,18 @@ def cmd_stoptime(scenario):
                       scenario.max_generation)
     for _ in range(3):
         refine_generation(forest)
-    forest_path = _out_path(scenario, "forest.jsonl")
-    dump_forest_jsonl(forest, forest_path)
-    print(forest_path)
     _, samples = nontangential_max_inv(wprime_abs, alpha=alpha,
                                        n_theta=256, r_max=0.995, n_radii=16)
+    # distribution.csv first: it raises before writing when no sample is
+    # finite and positive, so a failing run leaves no file at all
     dist_path = _out_path(scenario, "distribution.csv")
     try:
         dump_distribution_csv(samples, dist_path)
     except ValueError as exc:  # no finite positive sample to anchor on
         raise ScenarioError(f"maximal function of 1/|w'|: {exc}") from None
+    forest_path = _out_path(scenario, "forest.jsonl")
+    dump_forest_jsonl(forest, forest_path)
+    print(forest_path)
     print(dist_path)
     summary = {
         "g0_size": len(forest.generations[0]),

@@ -1,10 +1,12 @@
 """Integral means, growth norms, Carleson-measure constants and related
 functionals on the unit disc.
 
-Conventions: every supremum over the disc is reported as a certified lower
-bound obtained from a grid refined toward the boundary, together with the
-per-radius maxima so divergence is visible in the data.  Limits r -> 1- are
-replaced by evaluation on an exhausting radius schedule.
+Conventions: every supremum over the disc is a SupremumReport, a lower
+bound with the per-radius maxima (per ring of the a-net for fp_norm and
+bmoa_seminorm), so divergence is visible in the data.  Limits r -> 1- are
+replaced by evaluation on the dyadic radii 1 - 2^-j of geometry.dyadic_edges.
+Each quantity is computed once: an area integral is one polar quadrature,
+a net supremum one rule.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def circle_mean(f, r, p, n_points=64, tol=1e-8, max_points=1 << 16):
 
 
 def default_sup_radii(depth=10, r_cap=0.999):
-    radii = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)]
-    return [r for r in radii if r <= r_cap]
+    """The dyadic radii 0, 1/2, ..., 1 - 2^-depth up to r_cap."""
+    return [r for r in dyadic_edges(0.0, 1 - 2.0 ** -depth) if r <= r_cap]
 
 
 def _grid_sup(values_on_points, radii, n_theta):
@@ -81,11 +83,16 @@ def _grid_sup(values_on_points, radii, n_theta):
     return float(vals[k]), complex(zs[k]), list(zip(radii, per_radius.tolist()))
 
 
-def _local_refine(values_on_points, best, best_z, scale, rounds=6, n=9):
+_REFINE_ROUNDS = 6
+_REFINE_GRID = 9  # odd, so the grid has a centre
+
+
+def _local_refine(values_on_points, best, best_z, scale):
     """Nested grid search around the sweep's maximum ``best`` at ``best_z``,
-    which it does not evaluate again: one call per round on the n x n grid
-    (n odd) without its centre."""
-    for _ in range(rounds):
+    which it does not evaluate again: one call per round on the
+    _REFINE_GRID x _REFINE_GRID grid without its centre."""
+    n = _REFINE_GRID
+    for _ in range(_REFINE_ROUNDS):
         offs = np.linspace(-scale, scale, n)
         zs = best_z + np.delete((offs[:, None] + 1j * offs[None, :]).ravel(),
                                 n * n // 2)
@@ -168,43 +175,28 @@ def _radial_rule(lo, r_max, n_radial):
     return rr.ravel(), (0.5 * (b - a) * wx * rr).ravel()
 
 
-def weighted_area_integral(A, p, beta, r_maxes=(0.9, 0.99, 0.999),
-                           n_radial=64):
-    """integral over D of |A|^p (1-|z|^2)^beta dm, with a truncation trend.
-
-    Returns (value at the largest r_max, [(r_max, value)] trend).
-    """
+def weighted_area_integral(A, p, beta, r_max=0.999, n_radial=64):
+    """integral over |z| < r_max of |A|^p (1-|z|^2)^beta dm, by one
+    polar_quadrature."""
     if p <= 0:
         raise ValueError("p must be positive")
-    trend = []
-    for r_max in sorted(r_maxes):
-        nodes, weights = polar_quadrature(r_max, n_radial)
-        vals = np.abs(np.asarray(A(nodes), dtype=complex)) ** p
-        vals = vals * (1 - np.abs(nodes) ** 2) ** beta
-        trend.append((r_max, float(np.sum(weights * vals))))
-    return trend[-1][1], trend
+    nodes, weights = polar_quadrature(r_max, n_radial)
+    vals = np.abs(np.asarray(A(nodes), dtype=complex)) ** p
+    vals = vals * (1 - np.abs(nodes) ** 2) ** beta
+    return float(np.sum(weights * vals))
 
 
 def _net_rings(max_depth):
-    """(radius, point count) of each ring of the a-net, the origin first."""
-    return [(0.0, 1)] + [(1 - 2.0 ** (-j), 8 * 2 ** j)
-                         for j in range(1, max_depth + 1)]
+    """(radius, point count) of each ring of the a-net: the origin, then
+    2^(j+3) points on the dyadic radius 1 - 2^-j."""
+    edges = dyadic_edges(0.0, 1 - 2.0 ** -max_depth)
+    return [(0.0, 1)] + [(r, 8 * 2 ** j) for j, r in enumerate(edges[1:], 1)]
 
 
 def default_a_net(max_depth=10):
     """Pseudo-hyperbolically spread net {r_j e^(i theta)}: r_j = 1 - 2^-j with
     2^(j+3) angles per ring (boundary-concentrated, Möbius-aware)."""
     return [a for r, n in _net_rings(max_depth) for a in r * unit_roots(n)]
-
-
-@dataclass
-class NetSupReport:
-    value: float
-    argmax_a: complex
-    refinement_delta: float
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _weighted_quadrature(density, r_max, n_radial, n_theta):
@@ -234,18 +226,19 @@ def _net_values(depth, rule):
     return np.concatenate(rings)
 
 
-def _net_sup(depth, density, r_max, n_radial, n_theta, coarse_factor=2):
-    """First maximum of _net_values in net order, with the refinement delta
-    against the rule coarsened by coarse_factor (at least 64 angles)."""
-    def values_on(coarsen):
-        return _net_values(depth, _weighted_quadrature(
-            density, r_max, n_radial // coarsen, max(64, n_theta // coarsen)))
-
-    values = values_on(1)
+def _net_sup(depth, density, r_max, n_radial, n_theta, root):
+    """SupremumReport of root(_net_values) on one rule: the first maximum
+    in net order and the maximum of each ring.  ``root`` is monotone and
+    applied after the maxima, so it moves no argmax."""
+    rings = _net_rings(depth)
+    values = _net_values(depth, _weighted_quadrature(density, r_max,
+                                                     n_radial, n_theta))
     k = int(np.argmax(values))
-    coarse = values if coarse_factor == 1 else values_on(coarse_factor)
-    return NetSupReport(float(values[k]), complex(default_a_net(depth)[k]),
-                        float(abs(values[k] - coarse[k])))
+    per_ring = np.split(values, np.cumsum([m for _, m in rings])[:-1])
+    per_radius = [(rho, root(float(np.max(v))))
+                  for (rho, _), v in zip(rings, per_ring)]
+    return SupremumReport(root(float(values[k])),
+                          complex(default_a_net(depth)[k]), per_radius)
 
 
 def fp_norm(A, p):
@@ -253,8 +246,8 @@ def fp_norm(A, p):
 
         sup_a ( integral |A|^p (1-|z|^2)^(2p-2) (1-|phi_a(z)|^2) dm )^(1/p)
 
-    over the 4-ring default_a_net and a 256-angle polar rule to 0.999.  NaN
-    when A is not finite on a node.
+    over the 4-ring default_a_net and a 256-angle polar rule to 0.999, with
+    the maximum on each ring.  NaN when A is not finite on a node.
     """
     if p <= 0:
         raise ValueError("p must be positive")
@@ -264,9 +257,7 @@ def fp_norm(A, p):
         return (np.abs(np.asarray(A(nodes), dtype=complex)) ** p
                 * (1 - np.abs(nodes) ** 2) ** (2 * p - 1))
 
-    report = _net_sup(4, density, 0.999, 64, 256)
-    report.value = report.value ** (1.0 / p)
-    return report
+    return _net_sup(4, density, 0.999, 64, 256, lambda v: v ** (1.0 / p))
 
 
 def measure_of_square(mu, square, r_max=0.999, n_radial=32, n_theta=64):
@@ -298,7 +289,8 @@ def carleson_constant(mu, max_generation=6, r_max=0.999, n_radial=32, n_theta=64
 def bmoa_seminorm(fprime, r_max=0.99):
     """Net-sup lower bound for the square root of sup_a integral |f'|^2
     (1 - |phi_a(z)|^2) dm over the 3-ring default_a_net and a 128-angle polar
-    rule to r_max.  NaN when f' is not finite on a node.
+    rule to r_max, with the maximum on each ring.  NaN when f' is not finite
+    on a node.
 
     ``fprime`` is a vectorized evaluator of the derivative: it maps an array
     of points to the array of values.
@@ -308,6 +300,5 @@ def bmoa_seminorm(fprime, r_max=0.99):
         return (np.abs(np.asarray(fprime(nodes), dtype=complex)) ** 2
                 * (1 - np.abs(nodes) ** 2))
 
-    report = _net_sup(3, density, r_max, 48, 128, coarse_factor=1)
-    report.value = math.sqrt(max(report.value, 0.0))
-    return report
+    return _net_sup(3, density, r_max, 48, 128,
+                    lambda v: math.sqrt(max(v, 0.0)))

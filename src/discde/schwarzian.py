@@ -47,8 +47,8 @@ class QuotientMap:
 
     basis: object
     r_max: float = 0.95
-    poles: list = field(default_factory=list)
-    exclusion_radii: list = field(default_factory=list)
+    poles: list = field(init=False)
+    exclusion_radii: list = field(init=False)
 
     def __post_init__(self):
         if abs(self.basis.wronskian_target - (-1.0)) > 1e-12:
@@ -247,8 +247,7 @@ def bjest_check(f_jet, A_eval, r):
     logs = analytic_log(f_jet, r * unit_roots(1 << 10)) - np.log(complex(v0))
     lhs = float(np.mean(np.abs(logs) ** 2))
     term1 = r * r * abs(d0 / v0) ** 2
-    term2 = r * r * weighted_area_integral(A_eval, 2, 3, r_maxes=(r,),
-                                           n_radial=48)[0]
+    term2 = r * r * weighted_area_integral(A_eval, 2, 3, r_max=r, n_radial=48)
     rhs = term1 + term2
     ratio = 0.0 if lhs == 0.0 and rhs == 0.0 else lhs / rhs
     return lhs, (term1, term2), ratio
@@ -280,10 +279,8 @@ def roth_value_map(w):
     Finite w reduces to the cubic 2 z^3 - 2 w z^2 + 1 = 0; roots come from
     the companion matrix and are polished by Newton on the cubic.
     """
-    if w is None or (isinstance(w, float) and math.isinf(w)) or w == math.inf:
-        return [math.inf]
     w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+    if not cmath.isfinite(w):
         return [math.inf]
     coeffs = np.array([2.0, -2.0 * w, 0.0, 1.0], dtype=complex)
     roots = np.roots(coeffs)

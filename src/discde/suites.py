@@ -40,6 +40,8 @@ from .schwarzian import (
     stopping_wprime_abs,
 )
 from .stopping import (
+    DEFAULT_C0,
+    DEFAULT_EPS0,
     build_g0,
     exhaustive_g0,
     nontangential_max_inv,
@@ -86,8 +88,8 @@ class Scenario:
     rmax: float = 0.95
     tol: float = 1e-8
     max_generation: int = 12
-    c0: float = 2.0
-    eps0: float = 0.125
+    c0: float = DEFAULT_C0
+    eps0: float = DEFAULT_EPS0
     alpha: float = 2.0
     radii: tuple[float, ...] = (0.5, 0.7, 0.9)
     suites: tuple[str, ...] = SUITE_IDS
@@ -238,7 +240,7 @@ def run_s1(scenario):
         "coefficient-F1-norm",
         "sup over a of the integral of |A(z)| (1 - |phi_a(z)|^2) dm(z) "
         "equals ||A||_{F^1}",
-        {"f1_norm": f1norm.value, "argmax": complex(f1norm.argmax_a)},
+        {"f1_norm": f1norm.value, "argmax": complex(f1norm.argmax)},
     )
     seq = find_zeros(f_jet, scenario.rmax, deflate_origin=True)
     zeros = list(seq.zeros)
@@ -377,7 +379,7 @@ def run_s3(scenario):
     report.add(
         "log-f-bmoa",
         "non-vanishing solutions satisfy log f in BMOA",
-        {"seminorm": bmoa.value, "argmax": complex(bmoa.argmax_a)},
+        {"seminorm": bmoa.value, "argmax": complex(bmoa.argmax)},
         passed=math.isfinite(bmoa.value),
     )
     bloch = bloch_seminorm(dlog_f2, radii=default_sup_radii(depth=4),
@@ -592,9 +594,9 @@ def run_s7(scenario):
     # a coefficient that is not finite on a node is reported below, once
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norm_a = growth_norm(a_eval, 2.0).value
-        left, _ = weighted_area_integral(a_eval, 2.0, 3.0)
-        mid_int, _ = weighted_area_integral(a_eval, 1.0, 1.0)
-        right_int, _ = weighted_area_integral(a_eval, 0.5, 0.0)
+        left = weighted_area_integral(a_eval, 2.0, 3.0)
+        mid_int = weighted_area_integral(a_eval, 1.0, 1.0)
+        right_int = weighted_area_integral(a_eval, 0.5, 0.0)
     require_finite({"coefficient_norm": norm_a,
                     "integral of |A|^2 (1-|z|^2)^3": left,
                     "integral of |A| (1-|z|^2)": mid_int,

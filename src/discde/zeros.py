@@ -26,6 +26,7 @@ from .geometry import dyadic_edges, rho_p, unit_roots
 # Moment localization degrades beyond a handful of zeros per region.
 _MAX_CLUSTER = 6
 _NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 60
 _MAX_COUNT_POINTS = 1 << 15
 # Negative frequencies of z f'/f below this share of its size: converged.
 _LOG_TAIL = 1e-13
@@ -140,15 +141,15 @@ def _power_sums_to_poly(s):
     return np.array([(-1) ** k * e[k] for k in range(n + 1)])
 
 
-def _newton_polish(f_jet, z0, tol=_NEWTON_TOL, max_iter=60):
+def _newton_polish(f_jet, z0):
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         v, d = f_jet(z)
         if d == 0:
             break
         step = v / d
         z = z - step
-        if abs(step) <= tol * max(1.0, abs(z)):
+        if abs(step) <= _NEWTON_TOL * max(1.0, abs(z)):
             return z
     return z
 

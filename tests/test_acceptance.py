@@ -314,9 +314,9 @@ def test_criterion_12_inequality_chain():
         node = expr.parse_expr(coeff)
         a_eval = lambda zs, node=node: expr.eval_array(node, zs)
         norm_a = growth_norm(a_eval, 2.0).value
-        left, _ = weighted_area_integral(a_eval, 2.0, 3.0)
-        middle = norm_a * weighted_area_integral(a_eval, 1.0, 1.0)[0]
-        right = norm_a**1.5 * weighted_area_integral(a_eval, 0.5, 0.0)[0]
+        left = weighted_area_integral(a_eval, 2.0, 3.0)
+        middle = norm_a * weighted_area_integral(a_eval, 1.0, 1.0)
+        right = norm_a**1.5 * weighted_area_integral(a_eval, 0.5, 0.0)
         tol = 1e-9 * max(1.0, middle, right)
         chain = left <= middle + tol and middle <= right + tol
         ok = ok and chain

@@ -75,7 +75,7 @@ def test_polar_quadrature_rejects_radius_outside_disc():
         polar_quadrature(1.5)
     with pytest.raises(ValueError):
         weighted_area_integral(lambda z: np.ones_like(z), 2.0, 1.0,
-                               r_maxes=(1.5,))
+                               r_max=1.5)
 
 
 def test_polar_quadrature_moment():
@@ -87,9 +87,8 @@ def test_polar_quadrature_moment():
 
 def test_weighted_area_integral_constant():
     # integral of (1-|z|^2) dm = pi/2
-    val, trend = weighted_area_integral(lambda z: np.ones_like(z), 2.0, 1.0)
+    val = weighted_area_integral(lambda z: np.ones_like(z), 2.0, 1.0)
     assert val == pytest.approx(math.pi / 2, rel=1e-4)
-    assert trend[0][1] <= trend[-1][1]
 
 
 def test_fp_norm_constant_coefficient():
@@ -258,8 +257,8 @@ def test_bjest_area_term_is_the_weighted_area_integral():
     a = lambda zs: 0.5 / (1 - zs)
     r = 0.7
     _, (_, term2), _ = bjest_check(lambda z: (np.exp(z), np.exp(z)), a, r)
-    assert term2 == r * r * weighted_area_integral(
-        a, 2, 3, r_maxes=(r,), n_radial=48)[0]
+    assert term2 == r * r * weighted_area_integral(a, 2, 3, r_max=r,
+                                                   n_radial=48)
 
 
 def test_measure_of_square_makes_one_call():
@@ -309,3 +308,28 @@ def test_growth_norm_refinement_skips_the_current_maximum(fn, alpha):
                 2 * np.pi * abs(sweep.argmax) / 256)
     assert (rep.value, rep.argmax) == (best, best_z) == reference_refine(
         on_points, sweep.value, sweep.argmax, scale)
+
+
+def test_weighted_area_integral_makes_one_call():
+    a = Recording(lambda zs: 0.5 / (1 - zs))
+    weighted_area_integral(a, 2.0, 3.0)
+    assert [c.shape for c in a.calls] == [polar_quadrature()[0].shape]
+
+
+def test_fp_norm_evaluates_its_coefficient_once():
+    a = Recording(lambda zs: 0.5 / (1 - zs))
+    fp_norm(a, 1.0)
+    assert len(a.calls) == 1
+
+
+@pytest.mark.parametrize("net_sup, depth", [
+    (lambda fn: fp_norm(fn, 1.0), 4),
+    (lambda fn: fp_norm(fn, 2.0), 4),
+    (bmoa_seminorm, 3),
+])
+def test_net_suprema_report_the_maximum_of_each_ring(net_sup, depth):
+    rep = net_sup(lambda zs: np.exp(2 * zs) / (1 - 0.9j * zs))
+    assert [r for r, _ in rep.per_radius] == [0.0] + [
+        1 - 2.0 ** -j for j in range(1, depth + 1)]
+    assert max(v for _, v in rep.per_radius) == rep.value
+    assert rep.argmax in default_a_net(depth)

@@ -142,16 +142,16 @@ def _calls():
 
 
 def _defaulted_parameters(tree):
-    """(called name, definition, [(position, parameter)]) of every public
-    module-level function, every public method and every __init__ of a
-    module-level class; a method's positions count after self or cls."""
+    """(called name, definition, [(position, parameter)]) of every
+    module-level function, private ones too, every public method and every
+    __init__ of a module-level class; a method's positions count after self
+    or cls."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             defs = [(node.name if m.name == "__init__" else m.name, m, 1)
                     for m in node.body if isinstance(m, ast.FunctionDef)
                     and (m.name == "__init__" or not m.name.startswith("_"))]
-        elif (isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_")):
+        elif isinstance(node, ast.FunctionDef):
             defs = [(node.name, node, 0)]
         else:
             continue

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from discde.ode import make_basis
 from discde.schwarzian import (
     PoleError,
+    QuotientMap,
     bjest_check,
     factorize,
     pre_schwarzian_bound_check,
@@ -71,6 +72,12 @@ def test_quotient_poles_are_f2_zeros():
     assert max(abs(a - b) for a, b in zip(moduli, expected)) < 1e-9
     with pytest.raises(PoleError):
         q(q.poles[0])
+
+
+def test_quotient_poles_are_not_settable():
+    basis = quotient_from_coefficient("1", r_max=0.9).basis
+    with pytest.raises(TypeError):
+        QuotientMap(basis, poles=[0.5])
 
 
 def test_schwarzian_mobius_invariance_of_quotient():

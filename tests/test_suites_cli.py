@@ -384,6 +384,7 @@ def test_cli_stoptime_without_a_finite_sample_exits_2(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "0 of 256 samples are finite" in err
     assert not (tmp_path / "distribution.csv").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_max_generation_below_two_exits_2(tmp_path, capsys):
