@@ -104,10 +104,6 @@ class CarlesonSquare:
         return TWO_PI * self.index / 2 ** (self.generation - 1)
 
     @property
-    def theta_mid(self):
-        return TWO_PI * (self.index - 0.5) / 2 ** (self.generation - 1)
-
-    @property
     def inner_radius(self):
         return 1.0 - self.ell / TWO_PI
 
@@ -126,8 +122,16 @@ class CarlesonSquare:
         """Radial-angular midpoint of the top half T(Q)."""
         if self.generation < 2:
             raise ValueError("the root square has no top-half center")
-        radius = 1.0 - 3.0 * self.ell / (4 * TWO_PI)
-        return radius * complex(math.cos(self.theta_mid), math.sin(self.theta_mid))
+        return complex(top_half_centers(self.generation, self.index))
+
+
+def top_half_centers(generation, index):
+    """z_Q of the squares (generation >= 2, index), elementwise on integers
+    or integer arrays: the one formula of CarlesonSquare.z_q and descents."""
+    ell = TWO_PI / 2 ** (generation - 1)
+    theta_mid = TWO_PI * (index - 0.5) / 2 ** (generation - 1)
+    radius = 1.0 - 3.0 * ell / (4 * TWO_PI)
+    return radius * np.cos(theta_mid) + 1j * (radius * np.sin(theta_mid))
 
 
 def maximal_squares(squares):

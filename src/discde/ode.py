@@ -16,6 +16,7 @@ first two derivatives, so values and derivatives at a batch of points are
 one matrix product with the powers of z - center (Corliss & Chang, 1982).
 ``jet`` evaluates an array in blocks that way, and a point as a batch of one
 after a cover lookup of its own; each continuation step uses the same product.
+A point equals the one-element array bit for bit, a longer one to rounding.
 A combination alpha*f1 + beta*f2 weights the coefficient rows before that
 product, so it costs one cover lookup and one product, as a single solution
 does.
@@ -180,10 +181,12 @@ class ContinuableSystem:
 
         A point (a scalar or a 0-d array) gives a list of complex numbers from
         a cover lookup of its own, an array of points one array of its shape
-        per order from blocks that share a power matrix; both give the same
-        numbers.  Points that no expansion covers are continued to in array
-        order, so an array creates the same expansions as its points taken
-        one at a time.
+        per order from blocks that share a power matrix.  A point equals the
+        one-element array bit for bit; in a longer array its numbers may
+        differ in the last bits, as the block's product rounds otherwise.
+        Points that no expansion covers are continued to in array order, so
+        an array creates the same expansions as its points taken one at a
+        time.
         """
         if order < 0 or order > _MAX_ORDER:
             raise ValueError("order must be in [0, 2]")

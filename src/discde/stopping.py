@@ -9,6 +9,10 @@ the threshold eps0 * |w'(z_Q)| of its father.  The per-square length-decay
 test (children's lengths summing to at most half the father's) is recorded
 as data, not asserted, since suitable constants need not exist for every
 parameter choice.
+
+A descent runs one dyadic generation at a time over integer rows
+(generation, index, owner), with |w'| called once per top-half center; its
+squares come out in depth-first order, and unresolved squares stay rows.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import write_atomic
-from .geometry import (CarlesonSquare, generation_squares, maximal_squares,
-                       stolz_contains)
+from .geometry import (CarlesonSquare, maximal_squares, stolz_contains,
+                       top_half_centers)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,9 +62,9 @@ class StoppingNode:
     square: CarlesonSquare
     wprime_abs: float
     generation: int          # forest generation (not dyadic generation)
-    parent: CarlesonSquare or None = None
+    parent: CarlesonSquare | None = None
     truncated: bool = False
-    decay_pass: bool or None = None  # filled when the node is refined
+    decay_pass: bool | None = None  # filled when the node is refined
 
     def to_record(self):
         return {
@@ -74,31 +78,43 @@ class StoppingNode:
         }
 
 
-def _maximal_descent(wprime_abs, roots, threshold, max_generation,
-                     min_generation=2):
-    """Maximal dyadic squares below the roots with |w'(z_Q)| <= threshold.
+def _maximal_descent(wprime_abs, gen, idx, owner, thresholds, max_generation):
+    """Maximal dyadic squares strictly below the squares (gen, idx) with
+    |w'(z_Q)| <= thresholds[owner].
 
-    Depth-first: a branch stops at the first satisfying square, so the
-    result is maximal with respect to inclusion by construction.  Squares
-    reaching max_generation unresolved are returned separately.
+    One generation at a time: the frontier's centers in one array
+    expression, one |w'| call each, and the squares that fail (NaN fails)
+    split again, up to max_generation.  Returns the selected rows
+    (generation, index, owner), their values and the unresolved rows, each
+    by owner and left end: the squares of one owner are disjoint, so that
+    is depth-first order.
     """
-    selected, unresolved = [], []
-    stack = list(roots)[::-1]
-    while stack:
-        sq = stack.pop()
-        if sq.generation > max_generation:
-            unresolved.append(sq)
-            continue
-        if sq.generation >= min_generation:
-            value = wprime_abs(sq.z_q)
-            if value <= threshold:
-                selected.append((sq, value))
-                continue
-        if sq.generation >= max_generation:
-            unresolved.append(sq)
-            continue
-        stack.extend(sq.children()[::-1])
-    return selected, unresolved
+    rows = np.column_stack((gen, idx, owner)).astype(np.int64)
+    found, values, unresolved = [rows[:0]], [np.empty(0)], [rows[:0]]
+    while len(rows):
+        rows = np.repeat(rows, 2, axis=0)
+        rows[:, 0] += 1
+        rows[:, 1] = 2 * rows[:, 1] - np.tile([1, 0], len(rows) // 2)
+        deep = rows[:, 0] > max_generation
+        unresolved.append(rows[deep])
+        rows = rows[~deep]
+        zs = top_half_centers(rows[:, 0], rows[:, 1])
+        v = np.fromiter(map(wprime_abs, zs.tolist()), float, count=len(zs))
+        hit = v <= thresholds[rows[:, 2]]
+        found.append(rows[hit])
+        values.append(v[hit])
+        rows = rows[~hit]
+        last = rows[:, 0] >= max_generation
+        unresolved.append(rows[last])
+        rows = rows[~last]
+    found, values, unresolved = map(np.concatenate, (found, values, unresolved))
+
+    def depth_first(rows):  # argsort by owner, then by left end
+        shift = rows[:, 0].max(initial=0) - rows[:, 0]
+        return np.lexsort(((rows[:, 1] - 1) << shift, rows[:, 2]))
+
+    order = depth_first(found)
+    return found[order], values[order], unresolved[depth_first(unresolved)]
 
 
 @dataclass
@@ -110,10 +126,13 @@ class StoppingForest:
     eps0: float = DEFAULT_EPS0
     max_generation: int = 20
     generations: list = field(default_factory=list)  # list of [StoppingNode]
-    unresolved: list = field(default_factory=list)   # squares per build step
+    # (generation, index) rows per build step
+    unresolved: list = field(default_factory=list)
 
     def __post_init__(self):
         stopping_threshold(self.c0, self.eps0)  # validates (c0, eps0)
+        if self.max_generation > 54:  # deeper z_Q round onto |z| = 1
+            raise ValueError("max_generation exceeds 54")
 
     def length_sums(self):
         return [sum(node.square.ell for node in gen) for gen in self.generations]
@@ -128,50 +147,54 @@ def build_g0(wprime_abs, c0=DEFAULT_C0, eps0=DEFAULT_EPS0,
     with |w'(z_Q)| <= C0^(-1/eps0)."""
     threshold = stopping_threshold(c0, eps0)
     forest = StoppingForest(wprime_abs, c0, eps0, max_generation)
-    roots = generation_squares(2)
-    selected, unresolved = _maximal_descent(
-        wprime_abs, roots, threshold, max_generation
-    )
+    selected, values, unresolved = _maximal_descent(
+        wprime_abs, [1], [1], [0], np.array([threshold]), max_generation)
     forest.generations.append([
-        StoppingNode(sq, v, 0) for sq, v in selected
+        StoppingNode(CarlesonSquare(g, j), v, 0)
+        for (g, j, _), v in zip(selected.tolist(), values.tolist())
     ])
-    forest.unresolved.append(unresolved)
+    forest.unresolved.append(unresolved[:, :2])
     return forest
 
 
 def refine_generation(forest):
     """Build generation n+1 by refining every square of the newest, n, with
-    threshold eps0 * |w'(z_Q)|; records the per-square length-decay result."""
+    threshold eps0 * |w'(z_Q)|, in one descent for all of them; records the
+    per-square length-decay result."""
     if not forest.generations:
         raise ValueError("generation 0 has not been built")
     n = len(forest.generations) - 1
-    next_gen, unresolved_here = [], []
-    for node in forest.generations[n]:
-        threshold = forest.eps0 * node.wprime_abs
-        selected, unresolved = _maximal_descent(
-            forest.wprime_abs, list(node.square.children()), threshold,
-            forest.max_generation, min_generation=node.square.generation + 1,
-        )
-        children_length = sum(sq.ell for sq, _ in selected)
-        node.decay_pass = children_length <= 0.5 * node.square.ell + 1e-15
-        node.truncated = bool(unresolved)
-        unresolved_here.extend(unresolved)
-        for sq, v in selected:
-            next_gen.append(StoppingNode(sq, v, n + 1, parent=node.square))
+    nodes = forest.generations[n]
+    thresholds = forest.eps0 * np.array([node.wprime_abs for node in nodes],
+                                        dtype=float)
+    selected, values, unresolved = _maximal_descent(
+        forest.wprime_abs, [node.square.generation for node in nodes],
+        [node.square.index for node in nodes], np.arange(len(nodes)),
+        thresholds, forest.max_generation)
+    next_gen, lengths = [], [0] * len(nodes)
+    for (g, j, k), v in zip(selected.tolist(), values.tolist()):
+        sq = CarlesonSquare(g, j)
+        lengths[k] += sq.ell
+        next_gen.append(StoppingNode(sq, v, n + 1, parent=nodes[k].square))
+    truncated = np.bincount(unresolved[:, 2], minlength=len(nodes)) > 0
+    for node, length, cut in zip(nodes, lengths, truncated.tolist()):
+        node.decay_pass = length <= 0.5 * node.square.ell + 1e-15
+        node.truncated = cut
     forest.generations.append(next_gen)
-    forest.unresolved.append(unresolved_here)
+    forest.unresolved.append(unresolved[:, :2])
     return next_gen
 
 
 def exhaustive_g0(wprime_abs, c0, eps0, max_generation):
-    """Brute-force oracle for build_g0: enumerate all dyadic squares up to
+    """Brute-force oracle for build_g0: test all dyadic squares up to
     max_generation, keep those meeting the threshold, filter for maximality."""
     threshold = stopping_threshold(c0, eps0)
     hits = []
     for n in range(2, max_generation + 1):
-        for sq in generation_squares(n):
-            if wprime_abs(sq.z_q) <= threshold:
-                hits.append(sq)
+        idx = np.arange(1, 2 ** (n - 1) + 1)
+        zs = top_half_centers(n, idx).tolist()
+        v = np.fromiter(map(wprime_abs, zs), float, count=len(zs))
+        hits.extend(CarlesonSquare(n, j) for j in idx[v <= threshold].tolist())
     return maximal_squares(hits)
 
 

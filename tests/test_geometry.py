@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from discde.geometry import (
     rho_p,
     rho_p_to_set,
     stolz_contains,
+    top_half_centers,
 )
 
 in_disc = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
@@ -64,6 +66,15 @@ def test_descendants():
     assert deep.is_descendant_of(q)
     assert not deep.is_descendant_of(CarlesonSquare(2, 1))
     assert not q.is_descendant_of(q)
+
+
+def test_top_half_centers_are_z_q_elementwise():
+    squares = [sq for n in range(2, 11) for sq in generation_squares(n)]
+    gen = np.array([sq.generation for sq in squares])
+    idx = np.array([sq.index for sq in squares])
+    assert top_half_centers(gen, idx).tolist() == [sq.z_q for sq in squares]
+    assert (top_half_centers(5, np.arange(1, 17)).tolist()
+            == [sq.z_q for sq in generation_squares(5)])
 
 
 def test_maximal_squares_against_pairwise_test():

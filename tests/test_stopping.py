@@ -1,11 +1,15 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from discde.geometry import stolz_contains
+from discde.geometry import generation_squares, stolz_contains
 from discde.stopping import (
+    StoppingForest,
+    StoppingNode,
     ThresholdUnderflowError,
     build_g0,
     distribution_function,
@@ -54,6 +58,135 @@ def test_exhaustive_scan_equivalence():
         oracle = sorted(exhaustive_g0(wp, c0, eps0, 12))
         got = sorted(node.square for node in forest.generations[0])
         assert got == oracle
+
+
+# Square-by-square depth-first descent, the reference for the descent by
+# generations: a stack of squares, one |w'| call per square popped.
+
+
+def _descent_reference(wprime_abs, roots, threshold, max_generation,
+                       min_generation=2):
+    selected, unresolved = [], []
+    stack = list(roots)[::-1]
+    while stack:
+        sq = stack.pop()
+        if sq.generation > max_generation:
+            unresolved.append(sq)
+            continue
+        if sq.generation >= min_generation:
+            value = wprime_abs(sq.z_q)
+            if value <= threshold:
+                selected.append((sq, value))
+                continue
+        if sq.generation >= max_generation:
+            unresolved.append(sq)
+            continue
+        stack.extend(sq.children()[::-1])
+    return selected, unresolved
+
+
+def _build_g0_reference(wprime_abs, c0, eps0, max_generation):
+    threshold = stopping_threshold(c0, eps0)
+    forest = StoppingForest(wprime_abs, c0, eps0, max_generation)
+    selected, unresolved = _descent_reference(
+        wprime_abs, generation_squares(2), threshold, max_generation)
+    forest.generations.append([StoppingNode(sq, v, 0) for sq, v in selected])
+    forest.unresolved.append(unresolved)
+    return forest
+
+
+def _refine_reference(forest):
+    n = len(forest.generations) - 1
+    next_gen, unresolved_here = [], []
+    for node in forest.generations[n]:
+        threshold = forest.eps0 * node.wprime_abs
+        selected, unresolved = _descent_reference(
+            forest.wprime_abs, list(node.square.children()), threshold,
+            forest.max_generation, min_generation=node.square.generation + 1)
+        children_length = sum(sq.ell for sq, _ in selected)
+        node.decay_pass = children_length <= 0.5 * node.square.ell + 1e-15
+        node.truncated = bool(unresolved)
+        unresolved_here.extend(unresolved)
+        for sq, v in selected:
+            next_gen.append(StoppingNode(sq, v, n + 1, parent=node.square))
+    forest.generations.append(next_gen)
+    forest.unresolved.append(unresolved_here)
+    return next_gen
+
+
+def _hashed_wprime(seed, calls):
+    """A seeded hash of z, log-uniform over [1e-4, 1e2], with about 2 % each
+    of NaN, 0 and inf; every argument is appended to calls."""
+    def wprime_abs(z):
+        calls.append(z)
+        u = hash((seed, z.real, z.imag)) % 2**20 / 2**20
+        if u < 0.06:
+            return (math.nan, 0.0, math.inf)[int(u / 0.02)]
+        return 10.0 ** (6 * u - 4)
+
+    return wprime_abs
+
+
+def _node_key(node):
+    return (node.square, node.wprime_abs, node.generation, node.parent,
+            node.truncated, node.decay_pass)
+
+
+@given(seed=st.integers(0, 2**32), c0=st.floats(1.05, 4.0),
+       eps0_frac=st.floats(0.05, 0.95), max_generation=st.integers(2, 12),
+       refinements=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_descent_by_generations_matches_depth_first_reference(
+        seed, c0, eps0_frac, max_generation, refinements):
+    eps0 = eps0_frac * min(0.25, 1 / c0)
+    calls, ref_calls = [], []
+    forest = build_g0(_hashed_wprime(seed, calls), c0, eps0, max_generation)
+    ref = _build_g0_reference(_hashed_wprime(seed, ref_calls), c0, eps0,
+                              max_generation)
+    for _ in range(refinements):
+        refine_generation(forest)
+        _refine_reference(ref)
+    assert ([[_node_key(node) for node in gen] for gen in forest.generations]
+            == [[_node_key(node) for node in gen] for gen in ref.generations])
+    assert ([rows.tolist() for rows in forest.unresolved]
+            == [[[sq.generation, sq.index] for sq in squares]
+                for squares in ref.unresolved])
+    assert Counter(calls) == Counter(ref_calls)
+
+
+@pytest.mark.parametrize("G", [2, 3, 18])
+def test_flat_descent_calls_every_square_once(G):
+    calls = []
+    forest = build_g0(lambda z: calls.append(z) or 1.0, max_generation=G)
+    assert len(calls) == 2**G - 2
+    assert forest.generations[0] == []
+    rows = forest.unresolved[0]
+    assert rows.shape == (2 ** (G - 1), 2)
+    assert np.array_equal(rows[:, 0], np.full(2 ** (G - 1), G))
+    assert np.array_equal(rows[:, 1], np.arange(1, 2 ** (G - 1) + 1))
+
+
+def test_refining_an_empty_generation_appends_no_rows():
+    forest = build_g0(lambda z: 1.0, 2.0, 0.125, max_generation=6)
+    assert refine_generation(forest) == []
+    assert forest.unresolved[-1].shape == (0, 2)
+
+
+def test_node_at_max_generation_is_refined_without_a_call():
+    small = stopping_threshold(2.0, 0.125) / 2
+    forest = build_g0(lambda z: small, 2.0, 0.125, max_generation=2)
+    calls = []
+    forest.wprime_abs = lambda z: calls.append(z) or small
+    assert refine_generation(forest) == [] and calls == []
+    assert all(node.truncated and node.decay_pass
+               for node in forest.generations[0])
+    assert forest.unresolved[-1].tolist() == [[3, 1], [3, 2], [3, 3], [3, 4]]
+
+
+def test_max_generation_beyond_double_precision_is_rejected():
+    # a generation-55 center rounds onto the unit circle
+    with pytest.raises(ValueError, match="max_generation"):
+        build_g0(lambda z: 1.0, max_generation=55)
 
 
 def test_forest_nesting_and_disjointness():
