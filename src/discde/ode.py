@@ -14,9 +14,10 @@ dominant to the recessive solution.
 Each expansion keeps one coefficient matrix for all solutions and their
 first two derivatives, so values and derivatives at a batch of points are
 one matrix product with the powers of z - center (Corliss & Chang, 1982).
-``jet`` evaluates an array in blocks that way, and a point as a batch of one
-after a cover lookup of its own; each continuation step uses the same product.
-A point equals the one-element array bit for bit, a longer one to rounding.
+``jet`` evaluates an array in blocks that way, and a point, after a cover
+lookup of its own, with a vector of powers through the same reduction as a
+one-element array; each continuation step uses the same product.  A point
+equals the one-element array bit for bit, a longer one to rounding.
 A combination alpha*f1 + beta*f2 weights the coefficient rows before that
 product, so it costs one cover lookup and one product, as a single solution
 does.
@@ -75,18 +76,19 @@ class _Expansion:
         for d in range(1, _MAX_ORDER + 1):
             self.rows[:, d, :-1] = self.rows[:, d - 1, 1:] * np.arange(1, n)
 
-    def jet(self, zs, order, index=slice(None)):
-        """Derivatives 0..order at the 1-d array zs: shape (order + 1, len(zs))
-        for one solution ``index`` or for a weight vector ``index`` over the
-        solutions, (solutions, order + 1, len(zs)) for all.  Weights combine
-        the coefficient rows before the product with the powers."""
-        powers = np.empty((self.rows.shape[-1], len(zs)), dtype=complex)
+    def jet(self, z, order, index):
+        """Derivatives 0..order at z, a point or a 1-d array, of solution
+        ``index`` or of the weight vector ``index`` over the solutions: shape
+        (order + 1,) + z's shape.  Weights combine the coefficient rows before
+        the product with the powers; np.dot reaches the BLAS reduction of
+        ``@`` at less call cost."""
+        powers = np.empty((_DEGREE + 1,) + getattr(z, "shape", ()), complex)
+        powers[...] = z - self.center
         powers[0] = 1.0
-        powers[1:] = zs - self.center
-        np.multiply.accumulate(powers, axis=0, out=powers)
+        np.multiply.accumulate(powers, out=powers)
         if isinstance(index, np.ndarray):
-            return (self.rows[:, :order + 1].T @ index).T @ powers
-        return self.rows[index, :order + 1] @ powers
+            return np.dot((self.rows[:, :order + 1].T @ index).T, powers)
+        return np.dot(self.rows[index, :order + 1], powers)
 
 
 class ContinuableSystem:
@@ -145,7 +147,8 @@ class ContinuableSystem:
             if found and abs(z - self._expansions[cached].center) < dist:
                 cur = self._expansions[cached]
                 continue
-            cur = self._expand_at(new_center, cur.jet(at, 1)[:, :, 0])
+            cur = self._expand_at(new_center, [cur.jet(new_center, 1, i)
+                                               for i in range(len(cur.rows))])
 
     def _jet_block(self, index, zs, order):
         best, covered = self._cover(zs)
@@ -164,32 +167,38 @@ class ContinuableSystem:
         return out
 
     def _jet_point(self, index, z, order):
-        r = np.abs(z)  # numpy's modulus, as the array path reports it
-        if not r <= self.r_max * (1 + 1e-12):
-            raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
+        bound = self.r_max * (1 + 1e-12)
+        # abs(z) may differ from numpy's modulus in the last bit, so numpy's,
+        # as the array path reports it, decides a point near the bound
+        if not abs(z) <= bound * (1 - 1e-14):
+            r = np.abs(z)
+            if not r <= bound:
+                raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
         ratio = np.abs(z - self._centers) / self._trusts
         best = ratio.argmin()
         if not ratio[best] <= _COVER_FRAC:
             self._continue_to(z)
             best = (np.abs(z - self._centers) / self._trusts).argmin()
-        e = self._expansions[best]
-        return e.jet(np.array([z]), order, index)[:, 0].tolist()
+        return self._expansions[best].jet(z, order, index).tolist()
 
     def jet(self, index, z, order=2):
         """Values and derivatives 0..order at z of solution ``index``, or of
         the combination whose weight vector over the solutions is ``index``.
 
-        A point (a scalar or a 0-d array) gives a list of complex numbers from
-        a cover lookup of its own, an array of points one array of its shape
-        per order from blocks that share a power matrix.  A point equals the
-        one-element array bit for bit; in a longer array its numbers may
-        differ in the last bits, as the block's product rounds otherwise.
+        A point (a Python or numpy scalar, or a 0-d array) gives a list of
+        complex numbers from a cover lookup of its own and a vector of powers,
+        an array of points one array of its shape per order from blocks that
+        share a power matrix.  A point equals the one-element array bit for
+        bit; in a longer array its numbers may differ in the last bits, as the
+        block's product rounds otherwise.
         Points that no expansion covers are continued to in array order, so
         an array creates the same expansions as its points taken one at a
         time.
         """
         if order < 0 or order > _MAX_ORDER:
             raise ValueError("order must be in [0, 2]")
+        if isinstance(z, (complex, float, int, np.number)):
+            return self._jet_point(index, complex(z), order)
         zs = np.asarray(z, dtype=complex)
         if not zs.ndim:
             return self._jet_point(index, complex(zs), order)

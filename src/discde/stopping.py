@@ -153,7 +153,7 @@ def build_g0(wprime_abs, c0=DEFAULT_C0, eps0=DEFAULT_EPS0,
         StoppingNode(CarlesonSquare(g, j), v, 0)
         for (g, j, _), v in zip(selected.tolist(), values.tolist())
     ])
-    forest.unresolved.append(unresolved[:, :2])
+    forest.unresolved.append(unresolved[:, :2].copy())
     return forest
 
 
@@ -181,7 +181,7 @@ def refine_generation(forest):
         node.decay_pass = length <= 0.5 * node.square.ell + 1e-15
         node.truncated = cut
     forest.generations.append(next_gen)
-    forest.unresolved.append(unresolved[:, :2])
+    forest.unresolved.append(unresolved[:, :2].copy())
     return next_gen
 
 

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import discde
@@ -66,13 +67,20 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def _references(tree, skip=None):
+def _public_definitions(tree):
+    """Module-level functions and classes of a parsed module whose names
+    are public and not exported by discde.__all__."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in discde.__all__):
+            yield node.name, node
+
+
+def _references(tree):
     """Names read, attributes taken and names imported anywhere in the
-    tree outside the ``skip`` node."""
-    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    tree."""
     for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -81,18 +89,30 @@ def _references(tree, skip=None):
             yield from (alias.name for alias in node.names)
 
 
+def _unreferenced(trees, definitions):
+    """``file:line name`` of every (name, statement) that ``definitions``
+    yields for a module of ``trees`` and that nothing references outside
+    that statement.  The references are counted once per top-level
+    statement: a name is used when another module references it, or when
+    its own module does more often than the defining statement alone."""
+    counts = {name: {id(stmt): Counter(_references(stmt)) for stmt in tree.body}
+              for name, tree in trees.items()}
+    totals = {name: sum(per.values(), Counter()) for name, per in counts.items()}
+    unreferenced = []
+    for name, tree in trees.items():
+        for defined, node in definitions(tree):
+            used = (totals[name][defined] > counts[name][id(node)][defined]
+                    or any(totals[other][defined]
+                           for other in trees if other != name))
+            if not used:
+                unreferenced.append(f"{name}:{node.lineno} {defined}")
+    return unreferenced
+
+
 def test_no_unreferenced_private_helpers():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    unreferenced = []
-    for name, tree in trees.items():
-        for helper, node in _private_definitions(tree):
-            used = any(helper in _references(other, node if other is tree
-                                             else None)
-                       for other in trees.values())
-            if not used:
-                unreferenced.append(f"{name}:{node.lineno} {helper}")
-    assert unreferenced == []
+    assert _unreferenced(trees, _private_definitions) == []
 
 
 def test_no_unreferenced_public_definitions():
@@ -103,19 +123,7 @@ def test_no_unreferenced_public_definitions():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
-    unreferenced = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_")
-                    or node.name in discde.__all__):
-                continue
-            used = any(node.name in _references(other, node if other is tree
-                                                else None)
-                       for other in trees.values())
-            if not used:
-                unreferenced.append(f"{name}:{node.lineno} {node.name}")
-    assert unreferenced == []
+    assert _unreferenced(trees, _public_definitions) == []
 
 
 def _calls():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from discde import expr
 from discde.ode import (
+    DEFAULT_R_MAX,
     ContinuableSolution,
     ContinuableSystem,
     ContinuationError,
@@ -290,3 +291,36 @@ def test_points_continued_one_at_a_time_leave_the_array_centres():
     centres = [e.center for e in by_point._expansions]
     assert len(centres) > 10
     assert centres == [e.center for e in by_array._expansions]
+
+
+# the modulus bound of a jet at the default r_max, and points uniform in the
+# unit disc or within 1e-13 relative of that bound
+R_MAX_BOUND = DEFAULT_R_MAX * (1 + 1e-12)
+DISC_POINTS = st.builds(lambda u, t: math.sqrt(u) * cmath.exp(2j * math.pi * t),
+                        st.floats(0, 1), st.floats(0, 1))
+BOUND_POINTS = st.builds(
+    lambda d, t: R_MAX_BOUND * (1 + d) * cmath.exp(2j * math.pi * t),
+    st.floats(-1e-13, 1e-13), st.floats(0, 1))
+
+
+def _jet_bytes_or_message(handle, z, order):
+    try:
+        return np.array(handle.jet(z, order)).tobytes()
+    except ContinuationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeff=st.sampled_from(["0.5/(1-z)", "-4*z/(1-z)^4"]),
+       points=st.lists(st.one_of(DISC_POINTS, BOUND_POINTS),
+                       min_size=1, max_size=4))
+def test_point_agrees_with_the_one_element_array(coeff, points):
+    # same floats, same accept or reject, same message, same centres
+    by_point, by_array = make_basis(coeff), make_basis(coeff)
+    for z in points:
+        for order in (0, 1, 2):
+            for p, a in zip(_handles(by_point), _handles(by_array)):
+                assert (_jet_bytes_or_message(p, z, order)
+                        == _jet_bytes_or_message(a, np.array([z]), order))
+    assert ([e.center for e in by_point.f1._system._expansions]
+            == [e.center for e in by_array.f1._system._expansions])

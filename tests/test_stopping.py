@@ -183,6 +183,16 @@ def test_node_at_max_generation_is_refined_without_a_call():
     assert forest.unresolved[-1].tolist() == [[3, 1], [3, 2], [3, 3], [3, 4]]
 
 
+@pytest.mark.parametrize("value", [1.0, stopping_threshold(2.0, 0.125) / 2])
+def test_unresolved_rows_own_their_two_columns(value):
+    # no view that keeps the owner column of the descent's rows alive
+    forest = build_g0(lambda z: value, 2.0, 0.125, max_generation=8)
+    refine_generation(forest)
+    assert sum(len(rows) for rows in forest.unresolved) == 128
+    for rows in forest.unresolved:
+        assert rows.base is None and rows.shape[1] == 2
+
+
 def test_max_generation_beyond_double_precision_is_rejected():
     # a generation-55 center rounds onto the unit circle
     with pytest.raises(ValueError, match="max_generation"):
