@@ -16,8 +16,9 @@ first two derivatives, so values and derivatives at a batch of points are
 one matrix product with the powers of z - center (Corliss & Chang, 1982).
 ``jet`` evaluates an array in blocks that way, and a point, after a cover
 lookup of its own, with a vector of powers through the same reduction as a
-one-element array; each continuation step uses the same product.  A point
-equals the one-element array bit for bit, a longer one to rounding.
+one-element array; each continuation step uses the same product.  On a
+system of one expansion a point's lookup is one ratio |z - center|/trust.
+A point equals the one-element array bit for bit, a longer one to rounding.
 A combination alpha*f1 + beta*f2 weights the coefficient rows before that
 product, so it costs one cover lookup and one product, as a single solution
 does.
@@ -167,6 +168,10 @@ class ContinuableSystem:
         return out
 
     def _jet_point(self, index, z, order):
+        """Derivatives 0..order at the point z, as a list.  On a system of
+        one expansion the cover lookup is one ratio; numpy's ratio and
+        argmin over all centres, as an array's, decide a point within 1e-14
+        relative of the cover boundary and every point of a larger system."""
         bound = self.r_max * (1 + 1e-12)
         # abs(z) may differ from numpy's modulus in the last bit, so numpy's,
         # as the array path reports it, decides a point near the bound
@@ -174,6 +179,11 @@ class ContinuableSystem:
             r = np.abs(z)
             if not r <= bound:
                 raise ContinuationError(f"|z|={r} exceeds r_max={self.r_max}")
+        if len(self._expansions) == 1:
+            # abs may differ from numpy's modulus in the last bit
+            e = self._expansions[0]
+            if abs(z - e.center) / e.trust_radius <= _COVER_FRAC * (1 - 1e-14):
+                return e.jet(z, order, index).tolist()
         ratio = np.abs(z - self._centers) / self._trusts
         best = ratio.argmin()
         if not ratio[best] <= _COVER_FRAC:

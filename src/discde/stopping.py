@@ -13,6 +13,9 @@ parameter choice.
 A descent runs one dyadic generation at a time over integer rows
 (generation, index, owner), with |w'| called once per top-half center; its
 squares come out in depth-first order, and unresolved squares stay rows.
+The maximal function is one pass too: the Stolz samples of all angles come
+from one array expression, |w'| is called once per point, and each angle's
+sup is one segment of a maximum reduction.
 """
 
 from __future__ import annotations
@@ -205,40 +208,54 @@ def exhaustive_g0(wprime_abs, c0, eps0, max_generation):
 def stolz_sample(theta, alpha, r_max, n_radii=24):
     """Quasi-uniform sample of the Stolz region at e^(i theta): dyadic radii
     with angular windows proportional to the aperture at each depth, five
-    angles per radius, radius by radius, then r_max e^(i theta)."""
+    angles per radius, radius by radius, then r_max e^(i theta).
+
+    A scalar theta gives the points as a list of complex numbers.  A 1-d
+    array of angles gives all their samples from one array expression, as
+    (points, starts): the points angle by angle in one array, and the index
+    of each angle's first point; each angle's points are those of its
+    scalar call, bit for bit.  ValueError unless alpha > 1 and alpha^2 is
+    finite.
+    """
+    if not alpha > 1:
+        raise ValueError("aperture alpha must exceed 1")
+    if not math.isfinite(alpha * alpha):
+        raise ValueError(f"aperture alpha = {alpha} has no finite square")
+    thetas = np.asarray(theta, dtype=float)[..., None]
     depths = np.arange(1, n_radii + 1)
     radii = 1 - (1 - r_max) ** (depths / n_radii)
-    half_width = math.sqrt(max(alpha * alpha - 1, 0.0)) * (1 - radii)
-    offsets = np.linspace(-half_width, half_width, 5, axis=1)
-    zs = (radii[:, None] * np.exp(1j * (theta + offsets))).ravel()
-    points = zs[stolz_contains(theta, alpha, zs)].tolist()
-    points.append(complex(r_max * np.exp(1j * theta)))
-    return points
+    half_width = math.sqrt(alpha * alpha - 1) * (1 - radii)
+    offsets = np.linspace(-half_width, half_width, 5, axis=1).ravel()
+    zs = np.repeat(radii, 5) * np.exp(1j * (thetas + offsets))
+    zs = np.concatenate((zs, r_max * np.exp(1j * thetas)), axis=-1)
+    inside = stolz_contains(thetas, alpha, zs)
+    inside[..., -1] = True
+    points = zs[inside]
+    if np.ndim(theta) == 0:
+        return points.tolist()
+    counts = inside.sum(axis=1)
+    return points, np.cumsum(counts) - counts
 
 
 def nontangential_max_inv(wprime_abs, alpha=2.0, n_theta=512, r_max=0.999,
                           n_radii=24):
     """Sampled theta -> sup over the Stolz region of 1/|w'|.
 
-    Returns (thetas, samples) as arrays; a lower bound per theta, or NaN
-    where |w'| is NaN at a point of the sample, since the sup is then unknown.
+    One pass: the samples of all angles are built at once, |w'| is called
+    once per point in angle order, and each angle takes the largest
+    1/|w'| of its points (inf where |w'| is 0), floored at 0.  Returns
+    (thetas, samples) as arrays; a lower bound per theta, or NaN where |w'|
+    is NaN at a point of the sample, since the sup is then unknown.
     """
-    if not alpha > 1:
-        raise ValueError("aperture alpha must exceed 1")
+    if n_theta < 0:
+        raise ValueError("n_theta must be >= 0")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
-    out = np.empty(n_theta)
-    for i, theta in enumerate(thetas):
-        best = 0.0
-        for z in stolz_sample(theta, alpha, r_max, n_radii):
-            v = wprime_abs(z)
-            if v != v:  # NaN: the sup over this region is unknown
-                best = math.nan
-                break
-            inv = np.inf if v == 0 else 1.0 / v
-            if inv > best:
-                best = inv
-        out[i] = best
-    return thetas, out
+    points, starts = stolz_sample(thetas, alpha, r_max, n_radii)
+    v = np.fromiter(map(wprime_abs, points.tolist()), float, count=len(points))
+    with np.errstate(divide="ignore"):
+        inv = np.where(v == 0, np.inf, 1.0 / v)
+    peak = np.maximum.reduceat(inv, starts)  # NaN propagates
+    return thetas, np.where(peak <= 0, 0.0, peak)  # NaN is kept, -0.0 is 0
 
 
 # ---------------------------------------------------------------------------

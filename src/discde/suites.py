@@ -117,9 +117,13 @@ class Scenario:
         expr.parse_expr(self.coefficient)  # fail fast on bad expressions
 
     def stolz_aperture(self):
-        """alpha as the Stolz aperture of S5 and stoptime: it must exceed 1."""
+        """alpha as the Stolz aperture of S5 and stoptime: it must exceed 1,
+        and its square, the width of the sample, must be finite."""
         if not self.alpha > 1:
             raise ScenarioError(f"Stolz aperture alpha = {self.alpha} must exceed 1")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ScenarioError(f"Stolz aperture alpha = {self.alpha} has no "
+                                "finite square")
         return self.alpha
 
     def coefficient_eval(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from discde import expr
 from discde.ode import (
@@ -301,6 +301,12 @@ DISC_POINTS = st.builds(lambda u, t: math.sqrt(u) * cmath.exp(2j * math.pi * t),
 BOUND_POINTS = st.builds(
     lambda d, t: R_MAX_BOUND * (1 + d) * cmath.exp(2j * math.pi * t),
     st.floats(-1e-13, 1e-13), st.floats(0, 1))
+# A = 100 has one expansion until a point leaves its cover, |z| <= 0.75 of
+# its trust radius (0.915 < r_max); points within 1e-13 relative of that
+COVER_BOUND = 0.75 * make_basis("100").f1._system._trusts[0]
+COVER_POINTS = st.builds(
+    lambda d, t: COVER_BOUND * (1 + d) * cmath.exp(2j * math.pi * t),
+    st.floats(-1e-13, 1e-13), st.floats(0, 1))
 
 
 def _jet_bytes_or_message(handle, z, order):
@@ -310,9 +316,12 @@ def _jet_bytes_or_message(handle, z, order):
         return str(exc)
 
 
-@settings(max_examples=30, deadline=None)
-@given(coeff=st.sampled_from(["0.5/(1-z)", "-4*z/(1-z)^4"]),
-       points=st.lists(st.one_of(DISC_POINTS, BOUND_POINTS),
+@settings(max_examples=45, deadline=None)
+@example(coeff="100", points=[
+    COVER_BOUND * (1 + d) * cmath.exp(1j * t)
+    for d, t in ((-1e-13, 0.3), (-4e-15, 1.1), (4e-15, 2.9), (1e-13, -0.7))])
+@given(coeff=st.sampled_from(["0.5/(1-z)", "-4*z/(1-z)^4", "100"]),
+       points=st.lists(st.one_of(DISC_POINTS, BOUND_POINTS, COVER_POINTS),
                        min_size=1, max_size=4))
 def test_point_agrees_with_the_one_element_array(coeff, points):
     # same floats, same accept or reject, same message, same centres

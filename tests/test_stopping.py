@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from discde.geometry import generation_squares, stolz_contains
 from discde.stopping import (
@@ -114,15 +114,20 @@ def _refine_reference(forest):
     return next_gen
 
 
-def _hashed_wprime(seed, calls):
-    """A seeded hash of z, log-uniform over [1e-4, 1e2], with about 2 % each
-    of NaN, 0 and inf; every argument is appended to calls."""
+def _hashed_wprime(seed, calls, mix=(0.02, 0.02, 0, 0.02, 0)):
+    """A seeded hash u of z: NaN, 0, -0.0, inf and negative values in the
+    shares of ``mix`` (by default about 2 % each of NaN, 0 and inf), the
+    others positive, with magnitude 10^(6u - 4) in [1e-4, 1e2]; every
+    argument is appended to calls."""
+    edges = np.cumsum(mix).tolist()
+
     def wprime_abs(z):
         calls.append(z)
         u = hash((seed, z.real, z.imag)) % 2**20 / 2**20
-        if u < 0.06:
-            return (math.nan, 0.0, math.inf)[int(u / 0.02)]
-        return 10.0 ** (6 * u - 4)
+        kind = sum(u >= e for e in edges)
+        if kind < 4:
+            return (math.nan, 0.0, -0.0, math.inf)[kind]
+        return (-1 if kind == 4 else 1) * 10.0 ** (6 * u - 4)
 
     return wprime_abs
 
@@ -277,6 +282,88 @@ def test_nontangential_max_is_nan_where_a_sample_value_is_nan():
     assert math.isnan(samples[0])
     far = np.abs(np.exp(1j * thetas) - 1) > 0.5
     assert np.all(samples[far] == 1.0)
+
+
+# Angle-by-angle maximal function, the reference for the single sweep: one
+# Stolz sample per angle, |w'| point by point until a NaN.
+
+
+def _stolz_sample_reference(theta, alpha, r_max, n_radii):
+    depths = np.arange(1, n_radii + 1)
+    radii = 1 - (1 - r_max) ** (depths / n_radii)
+    half_width = math.sqrt(max(alpha * alpha - 1, 0.0)) * (1 - radii)
+    offsets = np.linspace(-half_width, half_width, 5, axis=1)
+    zs = (radii[:, None] * np.exp(1j * (theta + offsets))).ravel()
+    points = zs[stolz_contains(theta, alpha, zs)].tolist()
+    points.append(complex(r_max * np.exp(1j * theta)))
+    return points
+
+
+def _nontangential_reference(wprime_abs, alpha, n_theta, r_max, n_radii):
+    thetas = 2 * math.pi * np.arange(n_theta) / n_theta
+    out = np.empty(n_theta)
+    for i, theta in enumerate(thetas):
+        best = 0.0
+        for z in _stolz_sample_reference(theta, alpha, r_max, n_radii):
+            v = wprime_abs(z)
+            if v != v:
+                best = math.nan
+                break
+            inv = np.inf if v == 0 else 1.0 / v
+            if inv > best:
+                best = inv
+        out[i] = best
+    return thetas, out
+
+
+# shares of (NaN, 0, -0.0, inf, negative) among hashed |w'| values
+WPRIME_MIXES = [(0, 0, 0, 0, 0), (0.003, 0.003, 0.003, 0.003, 0.02),
+                (0.02, 0.02, 0.02, 0.02, 0.3), (0, 0, 0, 0.001, 0.999)]
+
+
+@given(seed=st.integers(0, 2**32), mix=st.sampled_from(WPRIME_MIXES),
+       n_theta=st.integers(0, 64),
+       alpha=st.floats(1, 4, exclude_min=True),
+       r_max=st.floats(0.5, 0.9997), n_radii=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+@example(seed=1, mix=WPRIME_MIXES[2], n_theta=64, alpha=2.0, r_max=0.999,
+         n_radii=24)
+@example(seed=2, mix=WPRIME_MIXES[3], n_theta=8, alpha=1.5, r_max=0.99,
+         n_radii=4)
+def test_single_sweep_matches_the_angle_by_angle_loop(
+        seed, mix, n_theta, alpha, r_max, n_radii):
+    calls = []
+    thetas, samples = nontangential_max_inv(
+        _hashed_wprime(seed, calls, mix), alpha, n_theta, r_max, n_radii)
+    want_thetas, want = _nontangential_reference(
+        _hashed_wprime(seed, [], mix), alpha, n_theta, r_max, n_radii)
+    assert thetas.tobytes() == want_thetas.tobytes()
+    assert samples.tobytes() == want.tobytes()
+    # one call per sample point, angle by angle, also after a NaN
+    per_angle = [_stolz_sample_reference(theta, alpha, r_max, n_radii)
+                 for theta in want_thetas]
+    every_point = [z for sample in per_angle for z in sample]
+    assert calls == every_point
+    points, starts = stolz_sample(want_thetas, alpha, r_max, n_radii)
+    assert points.tolist() == every_point
+    lengths = np.array([len(sample) for sample in per_angle], dtype=int)
+    assert starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
+
+
+@pytest.mark.parametrize("alpha", [math.inf, 1e200, 2e154, math.nan, 1.0])
+def test_stolz_aperture_without_a_finite_square_is_rejected(alpha):
+    with pytest.raises(ValueError, match="aperture alpha"):
+        stolz_sample(0.0, alpha, 0.99)
+    with pytest.raises(ValueError, match="aperture alpha"):
+        nontangential_max_inv(lambda z: 1.0, alpha=alpha, n_theta=4)
+    with pytest.raises(ValueError, match="aperture alpha"):
+        nontangential_max_inv(lambda z: 1.0, alpha=alpha, n_theta=0)
+
+
+def test_largest_finite_aperture_keeps_its_sample():
+    alpha = 1e154  # alpha^2 = 1e308 is finite
+    points = stolz_sample(0.5, alpha, 0.99, 4)
+    assert points == _stolz_sample_reference(0.5, alpha, 0.99, 4)
 
 
 def test_predicted_p():

@@ -290,6 +290,23 @@ def test_cli_value_out_of_range_exits_2(tmp_path, capsys, argv, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["stoptime", "--coefficient", "25", "--c0", "1.5", "--eps0", "0.2"],
+    ["verify", "S5", "--coefficient", "25"],
+])
+@pytest.mark.parametrize("alpha", ["inf", "1e200"])
+def test_cli_stolz_aperture_without_a_finite_square_exits_2(
+        tmp_path, capsys, command, alpha):
+    # alpha * alpha overflows: every Stolz offset would be NaN
+    code = main(command + ["--alpha", alpha, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: Stolz aperture alpha = ")
+    assert captured.err.count("\n") == 1 and "finite square" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--coefficient", "1"],
     ["verify", "S6", "--coefficient", "1"],
