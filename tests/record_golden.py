@@ -1,4 +1,4 @@
-"""Golden outputs of the stopping layer's CLI commands.
+"""Golden outputs of CLI commands: the stopping layer and the array path.
 
 Each case runs ``discde`` in a fresh interpreter with its output directory
 under a temporary folder, and keeps the exit code, standard output,
@@ -34,6 +34,10 @@ CASES = {
     "verify-S5-koebe": ["verify", "S5", "--coefficient=-4*z/(1-z)^4"],
     "stoptime-25": ["stoptime", "--coefficient=25"] + STOPTIME,
     "stoptime-pole": ["stoptime", "--coefficient=0.5/(1-z)"] + STOPTIME,
+    "zeros-100": ["zeros", "--coefficient=100", "--rmax", "0.95"],
+    "quotient-25": ["quotient", "--coefficient=25"],
+    "norms-pole": ["norms", "--coefficient=0.5/(1-z)"],
+    "solve-1": ["solve", "--coefficient=1"],
 }
 _MAIN = "import sys; from discde.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -1,5 +1,5 @@
-"""The stopping layer's CLI outputs equal their recorded fixtures byte for
-byte (tests/record_golden.py runs the commands and rewrites the fixtures)."""
+"""CLI outputs equal their recorded fixtures byte for byte
+(tests/record_golden.py runs the commands and rewrites the fixtures)."""
 
 import difflib
 
