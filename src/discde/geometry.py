@@ -9,6 +9,7 @@ deep generations carry no floating-point drift.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +55,14 @@ def dyadic_edges(lo, r_max):
     return edges
 
 
+@functools.lru_cache(maxsize=64)
 def unit_roots(n):
     """e^(2 pi i k/n) for k = 0..n-1 in that order: the trapezoid nodes of
-    every circle in the package, in the index order its FFTs rely on."""
-    return np.exp(1j * TWO_PI * np.arange(n) / n)
+    every circle in the package, in the index order its FFTs rely on.
+    Cached per n and read-only, so every caller shares one array."""
+    roots = np.exp(1j * TWO_PI * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
 
 
 def stolz_contains(theta, alpha, z):

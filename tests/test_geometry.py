@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discde.geometry import (
+    TWO_PI,
     CarlesonSquare,
     generation_squares,
     maximal_squares,
@@ -14,6 +15,7 @@ from discde.geometry import (
     rho_p_to_set,
     stolz_contains,
     top_half_centers,
+    unit_roots,
 )
 
 in_disc = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
@@ -101,3 +103,15 @@ def test_stolz_membership():
     assert not stolz_contains(0.0, 2.0, 0.9j)
     with pytest.raises(ValueError):
         stolz_contains(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 8, 64, 1 << 10, 4096])
+def test_unit_roots_are_one_cached_read_only_array(n):
+    roots = unit_roots(n)
+    assert unit_roots(n) is roots
+    assert roots.tobytes() == np.exp(1j * TWO_PI * np.arange(n) / n).tobytes()
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+    with pytest.raises(ValueError):
+        roots *= 2.0
+    assert roots[0] == 1.0

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from discde.ode import (
     ContinuableSolution,
     ContinuableSystem,
     ContinuationError,
+    _Expansion,
     make_basis,
     mobius_transfer,
 )
@@ -333,3 +335,91 @@ def test_point_agrees_with_the_one_element_array(coeff, points):
                         == _jet_bytes_or_message(a, np.array([z]), order))
     assert ([e.center for e in by_point.f1._system._expansions]
             == [e.center for e in by_array.f1._system._expansions])
+
+
+# ---------------------------------------------------------------------------
+# an array's power matrix by doubling, against the running product
+
+
+_KERNEL = _Expansion.jet
+
+
+def _accumulate_kernel(bounds):
+    """The array kernel with its powers from np.multiply.accumulate; it keeps
+    sum_n |c_n| |z - c|^n per order of each point in ``bounds``.  A point
+    keeps the kernel under test."""
+    def jet(self, z, order, index):
+        if not np.ndim(z):
+            return _KERNEL(self, z, order, index)
+        powers = np.empty((self.rows.shape[-1], len(z)), complex)
+        powers[...] = z - self.center
+        powers[0] = 1.0
+        np.multiply.accumulate(powers, out=powers)
+        if isinstance(index, np.ndarray):
+            rows = (self.rows[:, :order + 1].T @ index).T
+        else:
+            rows = self.rows[index, :order + 1]
+        bounds.update(zip(z.tolist(), np.dot(np.abs(rows), np.abs(powers)).T))
+        return np.dot(rows, powers)
+    return jet
+
+
+@settings(max_examples=12, deadline=None)
+@given(coeff=st.sampled_from(["25", "0.5/(1-z)", "-4*z/(1-z)^4"]),
+       size=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       order=st.integers(0, 2),
+       index=st.sampled_from([0, 1, np.array([0.7 - 0.2j, 1.3 + 0.4j])]))
+def test_array_powers_by_doubling_match_the_running_product(
+        coeff, size, seed, order, index):
+    rng = np.random.default_rng(seed)
+    zs = 0.95 * np.sqrt(rng.uniform(size=size)) * np.exp(
+        2j * np.pi * rng.uniform(size=size))
+    system = ContinuableSystem(coeff, [(1, 0), (0, 1)])
+    reference = ContinuableSystem(coeff, [(1, 0), (0, 1)])
+    got = np.array(system.jet(index, zs, order))
+    bounds = {}
+    with patch.object(_Expansion, "jet", _accumulate_kernel(bounds)):
+        want = np.array(reference.jet(index, zs, order))
+    scale = np.array([bounds[z] for z in zs.tolist()]).T
+    assert (np.abs(got - want) <= 1e-13 * scale).all()
+    assert ([e.center for e in system._expansions]
+            == [e.center for e in reference._expansions])
+
+
+# ---------------------------------------------------------------------------
+# a one-element array is evaluated as its point
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+@pytest.mark.parametrize("coeff, z", [("25", 0.3 + 0.1j),
+                                      ("0.5/(1-z)", 0.97 + 0.1j),
+                                      ("-4*z/(1-z)^4", -0.9j)])
+def test_one_element_arrays_take_the_point_path(coeff, z, shape, monkeypatch):
+    system = ContinuableSystem(coeff, [(1, 0), (0, 1)])
+    twin = ContinuableSystem(coeff, [(1, 0), (0, 1)])
+
+    def no_block(*args):
+        raise AssertionError("a one-element array went through the blocks")
+
+    monkeypatch.setattr(system, "_jet_block", no_block)
+    for index in (0, 1, np.array([0.7 - 0.2j, 1.3 + 0.4j])):
+        for order in (0, 1, 2):
+            got = system.jet(index, np.full(shape, z), order)
+            want = twin.jet(index, z, order)
+            assert len(got) == order + 1
+            for g, w in zip(got, want):
+                assert g.shape == shape and g.dtype == complex
+                assert g.tobytes() == np.array(w).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+@pytest.mark.parametrize("z", [0.9995, -1.0 + 0.5j, complex(math.nan, 0.1),
+                               complex(0.1, math.inf), complex(math.inf, 0)])
+def test_one_element_array_beyond_r_max_raises_the_array_message(z, shape):
+    system = ContinuableSystem("25", [(1, 0), (0, 1)])
+    with pytest.raises(ContinuationError) as from_array:
+        system.jet(0, np.array([0.0, z]), 1)
+    with pytest.raises(ContinuationError) as from_one:
+        system.jet(0, np.full(shape, z), 1)
+    assert str(from_one.value) == str(from_array.value)
+    assert len(system._expansions) == 1
