@@ -99,9 +99,8 @@ class _Expansion:
             powers[1] = z - self.center
             m = 1
             while m < _DEGREE:  # powers m+1..2m: powers 1..m times power m
-                k = min(m, _DEGREE - m)
-                np.multiply(powers[1:k + 1], powers[m],
-                            out=powers[m + 1:m + k + 1])
+                np.multiply(powers[1:m + 1], powers[m],
+                            out=powers[m + 1:2 * m + 1])
                 m *= 2
         if isinstance(index, np.ndarray):
             return np.dot((self.rows[:, :order + 1].T @ index).T, powers)

@@ -364,7 +364,7 @@ def _accumulate_kernel(bounds):
     return jet
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(coeff=st.sampled_from(["25", "0.5/(1-z)", "-4*z/(1-z)^4"]),
        size=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1),
        order=st.integers(0, 2),
