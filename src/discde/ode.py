@@ -17,11 +17,11 @@ one matrix product with the powers of z - center (Corliss & Chang, 1982).
 ``jet`` evaluates an array in blocks that way, with a power matrix built by
 doubling (powers m+1..2m are powers 1..m times power m: six wide multiplies
 for degree 64), and a point, after a cover lookup of its own, with a vector
-of powers from one running product through the same reduction; each
-continuation step uses the same product.  On a system of one expansion a
-point's lookup is one ratio |z - center|/trust.  A one-element array is
-evaluated as its point, so the two agree bit for bit; a longer array agrees
-to rounding, as its powers and its product round otherwise.
+of powers from one running product through the same reduction as a
+one-element array; each continuation step uses the same product.  On a
+system of one expansion a point's lookup is one ratio |z - center|/trust.
+A point equals the one-element array bit for bit, a longer one to rounding,
+as its powers and its product round otherwise.
 A combination alpha*f1 + beta*f2 weights the coefficient rows before that
 product, so it costs one cover lookup and one product, as a single solution
 does.
@@ -83,14 +83,14 @@ class _Expansion:
     def jet(self, z, order, index):
         """Derivatives 0..order at z, a point or a 1-d array, of solution
         ``index`` or of the weight vector ``index`` over the solutions: shape
-        (order + 1,) + z's shape.  A point's powers are one running product
-        over 65 entries; an array's are built by doubling, one multiply of
-        the powers so far per power of two, since numpy's accumulate runs a
-        scalar loop per cell.  Weights combine the coefficient rows before
-        the product with the powers; np.dot reaches the BLAS reduction of
-        ``@`` at less call cost."""
+        (order + 1,) + z's shape.  A point's powers, and a one-element
+        array's, are one running product over 65 entries; a longer array's
+        are built by doubling, one multiply of the powers so far per power of
+        two, since numpy's accumulate runs a scalar loop per cell.  Weights
+        combine the coefficient rows before the product with the powers;
+        np.dot reaches the BLAS reduction of ``@`` at less call cost."""
         powers = np.empty((_DEGREE + 1,) + getattr(z, "shape", ()), complex)
-        if powers.ndim == 1:
+        if powers.size == _DEGREE + 1:
             powers[...] = z - self.center
             powers[0] = 1.0
             np.multiply.accumulate(powers, out=powers)
@@ -213,9 +213,9 @@ class ContinuableSystem:
         A point (a Python or numpy scalar, or a 0-d array) gives a list of
         complex numbers from a cover lookup of its own and a vector of powers,
         an array of points one array of its shape per order from blocks that
-        share a power matrix.  A one-element array takes the point's path and
-        holds its bytes; in a longer array a point's numbers may differ in
-        the last bits, as the block's powers and product round otherwise.
+        share a power matrix.  A point equals the one-element array bit for
+        bit; in a longer array its numbers may differ in the last bits, as
+        the block's powers and product round otherwise.
         Points that no expansion covers are continued to in array order, so
         an array creates the same expansions as its points taken one at a
         time.
@@ -227,9 +227,6 @@ class ContinuableSystem:
         zs = np.asarray(z, dtype=complex)
         if not zs.ndim:
             return self._jet_point(index, complex(zs), order)
-        if zs.size == 1:
-            values = self._jet_point(index, complex(zs.flat[0]), order)
-            return list(np.array(values).reshape((order + 1,) + zs.shape))
         flat = zs.reshape(-1)
         r = np.abs(flat).max(initial=0.0)
         if not r <= self.r_max * (1 + 1e-12):
