@@ -5,7 +5,7 @@ import difflib
 
 import pytest
 
-from record_golden import CASES, read_fixture, run_case
+from record_golden import CASES, read_fixture, run_case, run_fresh
 
 
 def _first_difference(want, got):
@@ -28,4 +28,12 @@ def test_cli_output_matches_its_golden_fixture(case):
     want = read_fixture(case)
     assert want, f"no fixture for {case}"
     diff = _first_difference(want, run_case(CASES[case]))
+    assert diff is None, diff
+
+
+def test_a_fresh_interpreter_writes_the_in_process_bytes():
+    """The fixtures are recorded in one process; a fresh interpreter, as
+    a user runs the command, must write the same bytes."""
+    case = "verify-S5-pole"
+    diff = _first_difference(read_fixture(case), run_fresh(CASES[case]))
     assert diff is None, diff
