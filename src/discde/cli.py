@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from .expr import ExprError
 from .ode import ContinuationError, make_basis
 from .functionals import fp_norm, growth_norm
 from .geometry import unit_roots
-from .schwarzian import quotient_from_coefficient, stopping_wprime_abs
+from .schwarzian import (quotient_basis, quotient_from_coefficient,
+                         stopping_wprime_abs)
 from .stopping import (
     build_g0,
     dump_distribution_csv,
@@ -86,7 +88,6 @@ def _scenario_from_args(args):
         if value is not None:
             overrides[key] = value
     if overrides:
-        from dataclasses import replace
         scenario = replace(scenario, **overrides)
     return scenario
 
@@ -128,8 +129,7 @@ def cmd_solve(scenario):
 
 
 def cmd_zeros(scenario):
-    basis = make_basis(scenario.coefficient, ics=((0.0, 1.0), (1.0, 0.0)),
-                       r_max=max(scenario.rmax, 0.97))
+    basis = quotient_basis(scenario.coefficient, scenario.rmax)
     seq = find_zeros(lambda z: basis.jet(1, z, 1), scenario.rmax,
                      deflate_origin=True)
     rows = [[z.real, z.imag, abs(z), res]

@@ -119,7 +119,7 @@ class ContinuableSystem:
         self._expand_at(0.0, ics)
 
     def _expand_at(self, center, local_ics):
-        # overflow near a pole of A yields a NaN trust, reported below
+        # overflow near a pole of A, or of the solutions, is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 a_ps = expr.taylor_at(self.A, center, _DEGREE)
@@ -129,6 +129,8 @@ class ContinuableSystem:
                 ) from exc
             coeffs = np.array([_recurrence(a_ps.coeffs, f0, df0, _DEGREE)
                                for f0, df0 in local_ics])
+            if not np.isfinite(coeffs).all():
+                raise ContinuationError(f"the solutions overflow at {center}")
             trust = min([a_ps.trust_radius]
                         + [estimate_trust_radius(c) for c in coeffs])
         if not trust > 0:

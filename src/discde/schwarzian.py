@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .functionals import weighted_area_integral
 from .geometry import rho_p_to_set, unit_roots
+from .ode import make_basis
 from .zeros import analytic_log, find_zeros
 
 
@@ -103,27 +105,29 @@ class QuotientMap:
         return schwarzian(self.jet3(z))
 
 
-def quotient_from_coefficient(A, r_max=0.95):
-    """Canonical quotient for a coefficient: the pair f1(0)=0, f1'(0)=1,
-    f2(0)=1, f2'(0)=0 has Wronskian -1 and normalizes w(0)=0, w'(0)=1."""
-    from .ode import make_basis
+def quotient_basis(A, r_max):
+    """The pair of the canonical quotient w = f1/f2, continued to
+    max(r_max, 0.97): f1(0)=0, f1'(0)=1, f2(0)=1, f2'(0)=0 has Wronskian -1
+    and normalizes w(0)=0, w'(0)=1."""
+    return make_basis(A, ics=((0.0, 1.0), (1.0, 0.0)), r_max=max(r_max, 0.97))
 
-    basis = make_basis(A, ics=((0.0, 1.0), (1.0, 0.0)),
-                       r_max=max(r_max, 0.97))
-    return QuotientMap(basis, r_max=r_max)
+
+def quotient_from_coefficient(A, r_max=0.95):
+    """Canonical quotient for a coefficient, with its poles inside r_max."""
+    return QuotientMap(quotient_basis(A, r_max), r_max=r_max)
 
 
 def stopping_wprime_abs(A, max_generation):
     """|w'| = 1/|f2|^2 of the canonical quotient, continued deep enough to
     reach z_Q of every dyadic square up to ``max_generation``; infinite at
-    the poles of w."""
+    the poles of w, which are not located."""
     # z_Q of a generation-n square sits at 1 - 1.5 * 2^(-n)
     r_need = max(0.996, 1.0 - 1.4 * 2.0 ** (-max_generation))
-    q = quotient_from_coefficient(A, r_max=r_need)
+    f2 = quotient_basis(A, r_need).f2
 
     def wprime_abs(z):
-        f2 = q.basis.jet(2, z, 0)[0]
-        return np.inf if f2 == 0 else 1.0 / abs(f2) ** 2
+        v = f2.jet(z, 0)[0]
+        return np.inf if v == 0 else 1.0 / abs(v) ** 2
 
     return wprime_abs
 
@@ -241,8 +245,6 @@ def bjest_check(f_jet, A_eval, r):
     Returns (lhs, (term1, term2), ratio); the comparison constant is the
     fitted ratio, never assumed.
     """
-    from .functionals import weighted_area_integral
-
     v0, d0 = f_jet(0.0)
     logs = analytic_log(f_jet, r * unit_roots(1 << 10)) - np.log(complex(v0))
     lhs = float(np.mean(np.abs(logs) ** 2))

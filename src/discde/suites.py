@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .geometry import maximal_squares, rho_p, unit_roots
-from .ode import make_basis, mobius_transfer
+from .ode import mobius_transfer
 from .functionals import (
     bloch_seminorm,
     bmoa_seminorm,
@@ -33,6 +33,7 @@ from .zeros import (divide_out_origin, find_zeros, jensen_check,
 from .schwarzian import (
     bjest_check,
     factorize,
+    quotient_basis,
     quotient_from_coefficient,
     roth_critical_points,
     roth_map,
@@ -225,19 +226,12 @@ def lint_report(report):
 # suite implementations
 
 
-def _zero_bearing_solution(scenario):
-    """A solution with f(0)=0, f'(0)=1 (always vanishes at the origin), on
-    the shared-cache basis for the scenario coefficient."""
-    return make_basis(scenario.coefficient, ics=((0.0, 1.0), (1.0, 0.0)),
-                      r_max=max(scenario.rmax, 0.97)).f1
-
-
 def run_s1(scenario):
     """Zero separation: coefficient norm, transfer of zeros, Jensen, the
     transferred Blaschke sums, uniform separation."""
     report = SuiteReport("S1")
     a_eval = scenario.coefficient_eval()
-    f = _zero_bearing_solution(scenario)
+    f = quotient_basis(scenario.coefficient, scenario.rmax).f1
     f_jet = lambda z: f.jet(z, 1)
     f1norm = fp_norm(a_eval, 1.0)
     report.add(
@@ -413,7 +407,7 @@ def run_s4(scenario):
     zero discs, and the disc-radius smallness rule."""
     report = SuiteReport("S4")
     a_eval = scenario.coefficient_eval()
-    f = _zero_bearing_solution(scenario)
+    f = quotient_basis(scenario.coefficient, scenario.rmax).f1
     seq = find_zeros(lambda z: f.jet(z, 1), scenario.rmax, deflate_origin=True)
     zeros = list(seq.zeros)
     sigma = normality_sigma(lambda z: f.jet(z, 1), n_theta=48,

@@ -1,10 +1,10 @@
 """Source hygiene: no unused module-level imports in the package, no
-private module-level helper that nothing references, no public function or
-class that nothing references unless the package exports it, no defaulted
-parameter that no call passes, every name the package exports resolves, and
-every function and method the benchmark
-tracer (perfbench/tracer.py) wraps still exists to be wrapped, with the
-jet argument it counts points from still in its place."""
+import inside a function or class, no private module-level helper that
+nothing references, no public function or class that nothing references
+unless the package exports it, no defaulted parameter that no call passes,
+every name the package exports resolves, and every function and method the
+benchmark tracer (perfbench/tracer.py) wraps still exists to be wrapped,
+with the jet argument it counts points from still in its place."""
 
 import ast
 import importlib
@@ -49,6 +49,26 @@ def test_no_unused_module_level_imports():
     unused = [u for path in sorted(PACKAGE.glob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def _nested_imports(path):
+    """``file:line`` of every import inside a function or class body."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.update(f"{path.name}:{inner.lineno}"
+                         for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return found
+
+
+def test_no_imports_inside_functions_or_classes():
+    """Imports sit at module level, where the benchmark tracer patches the
+    bindings they make and a reader sees a module's dependencies."""
+    nested = [n for path in sorted(PACKAGE.glob("*.py"))
+              for n in sorted(_nested_imports(path))]
+    assert nested == []
 
 
 def _private_definitions(tree):

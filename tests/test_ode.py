@@ -160,6 +160,21 @@ def test_pole_inside_disc_is_a_continuation_error():
         basis.f1.jet(0.6, 1)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda basis: (basis.jet(1, 0.99 - 0.02j, 0), basis.jet(1, 0.993, 0)),
+    lambda basis: basis.jet(1, np.array([0.99 - 0.02j, 0.993]), 0),
+], ids=["point-then-point", "two-point-array"])
+def test_overflowing_solutions_are_a_continuation_error(evaluate):
+    # near the boundary pole of the Koebe coefficient the Taylor rows of the
+    # solutions overflow to NaN while A's own trust radius stays positive;
+    # such an expansion must not be kept to serve NaN values inside r_max
+    basis = make_basis("-4*z/(1-z)^4")
+    with pytest.raises(ContinuationError, match="overflow"):
+        evaluate(basis)
+    assert all(np.isfinite(e.rows).all()
+               for e in basis.f1._system._expansions)
+
+
 # ---------------------------------------------------------------------------
 # combination handles: one system call with the weights in the product
 

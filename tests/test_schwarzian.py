@@ -1,10 +1,12 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discde.cli import main
 from discde.ode import make_basis
 from discde.schwarzian import (
     PoleError,
@@ -17,8 +19,12 @@ from discde.schwarzian import (
     roth_map,
     roth_value_map,
     schwarzian,
+    stopping_wprime_abs,
 )
 from discde.zeros import ZeroLocationError, analytic_log
+
+# the package exports the function ``schwarzian`` over this module's name
+SCHWARZIAN_MODULE = importlib.import_module("discde.schwarzian")
 
 
 def koebe_jet3(z):
@@ -221,6 +227,27 @@ def test_factorize_requires_zero_free_f2():
     q = quotient_from_coefficient("25", r_max=0.9)  # cos(5z) vanishes
     with pytest.raises(PoleError):
         factorize(q, 1.0, 0.0)
+
+
+def test_stopping_wprime_abs_locates_no_poles(monkeypatch, tmp_path):
+    """|w'| = 1/|f2|^2 needs f2 alone: neither the quotient's pole search
+    nor find_zeros may run, for the closure nor for S5 and stoptime."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pole search ran")
+
+    monkeypatch.setattr(SCHWARZIAN_MODULE, "find_zeros", refuse)
+    monkeypatch.setattr(QuotientMap, "__post_init__", refuse)
+    wprime_abs = stopping_wprime_abs("25", 12)
+    zs = [0.0, 0.3 - 0.2j, 0.9j, -0.99, 0.9996 + 0.0001j]
+    got = [wprime_abs(z) for z in zs]
+    assert main(["verify", "S5", "--coefficient=25",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["stoptime", "--coefficient=25", "--c0", "1.5",
+                 "--eps0", "0.2", "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    f2 = quotient_from_coefficient("25", r_max=1 - 1.4 * 2.0**-12).basis.f2
+    assert got == [1 / abs(f2(z)) ** 2 for z in zs]
+    assert len(f2._system._expansions) == 1
 
 
 def test_pre_schwarzian_bound_koebe():
