@@ -166,8 +166,9 @@ def test_pole_inside_disc_is_a_continuation_error():
 ], ids=["point-then-point", "two-point-array"])
 def test_overflowing_solutions_are_a_continuation_error(evaluate):
     # near the boundary pole of the Koebe coefficient the Taylor rows of the
-    # solutions overflow to NaN while A's own trust radius stays positive;
-    # such an expansion must not be kept to serve NaN values inside r_max
+    # solutions overflow to NaN, which the trust estimate does not reject
+    # (min() drops a NaN that is not first); such an expansion must not be
+    # kept to serve NaN values inside r_max
     basis = make_basis("-4*z/(1-z)^4")
     with pytest.raises(ContinuationError, match="overflow"):
         evaluate(basis)
