@@ -17,6 +17,7 @@ import numpy as np
 from .functionals import weighted_area_integral
 from .geometry import rho_p_to_set, unit_roots
 from .ode import make_basis
+from .stopping import Elementwise
 from .zeros import analytic_log, find_zeros
 
 
@@ -119,17 +120,18 @@ def quotient_from_coefficient(A, r_max=0.95):
 
 def stopping_wprime_abs(A, max_generation):
     """|w'| = 1/|f2|^2 of the canonical quotient, continued deep enough to
-    reach z_Q of every dyadic square up to ``max_generation``; infinite at
-    the poles of w, which are not located."""
+    reach z_Q of every dyadic square up to ``max_generation``, as an
+    elementwise evaluator: one f2 call per array of points.  Infinite at the
+    poles of w, which are not located."""
     # z_Q of a generation-n square sits at 1 - 1.5 * 2^(-n)
     r_need = max(0.996, 1.0 - 1.4 * 2.0 ** (-max_generation))
     f2 = quotient_basis(A, r_need).f2
 
-    def wprime_abs(z):
-        v = f2.jet(z, 0)[0]
-        return np.inf if v == 0 else 1.0 / abs(v) ** 2
+    def wprime_abs(zs):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(f2.jet(zs, 0)[0]) ** 2
 
-    return wprime_abs
+    return Elementwise(wprime_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,21 @@ as data, not asserted, since suitable constants need not exist for every
 parameter choice.
 
 A descent runs one dyadic generation at a time over integer rows
-(generation, index, owner), with |w'| called once per top-half center; its
-squares come out in depth-first order, and unresolved squares stay rows.
-The maximal function is one pass too: the Stolz samples of all angles come
-from one array expression, |w'| is called once per point, and each angle's
-sup is one segment of a maximum reduction.
+(generation, index, owner); its squares come out in depth-first order, and
+unresolved squares stay rows.  The maximal function is one pass too: the
+Stolz samples of all angles come from one array expression, and each
+angle's sup is one segment of a maximum reduction.
+
+|w'| is read on a whole generation of top-half centers, or on all Stolz
+points, at once.  An ``Elementwise`` evaluator is called once on that 1-d
+array; any other callable is called once per point, as a Python complex
+number.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,6 +46,9 @@ _TINY = np.finfo(float).tiny
 # lambda grid of weak_lp_fit and dump_distribution_csv: the top decades
 _DECADES = 2.0
 _POINTS_PER_DECADE = 64
+
+# points per list of Python complex numbers for a pointwise |w'|
+_CHUNK = 4096
 
 
 class ThresholdUnderflowError(ValueError):
@@ -81,13 +89,37 @@ class StoppingNode:
         }
 
 
+class Elementwise:
+    """A |w'| evaluator that takes a 1-d array of points and returns their
+    values (or one value for all of them); calling it calls ``fn``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, z):
+        return self.fn(z)
+
+
+def _wprime_values(wprime_abs, zs):
+    """|w'| at the 1-d complex array zs, as a float array of its shape: one
+    call on zs for an Elementwise evaluator, otherwise one call per point,
+    listed a chunk at a time.  No call for no points."""
+    if isinstance(wprime_abs, Elementwise) and len(zs):
+        return np.broadcast_to(np.asarray(wprime_abs(zs), dtype=float),
+                               zs.shape)
+    points = itertools.chain.from_iterable(
+        zs[i:i + _CHUNK].tolist() for i in range(0, len(zs), _CHUNK))
+    return np.fromiter(map(wprime_abs, points), float, count=len(zs))
+
+
 def _maximal_descent(wprime_abs, gen, idx, owner, thresholds, max_generation):
     """Maximal dyadic squares strictly below the squares (gen, idx) with
     |w'(z_Q)| <= thresholds[owner].
 
     One generation at a time: the frontier's centers in one array
-    expression, one |w'| call each, and the squares that fail (NaN fails)
-    split again, up to max_generation.  Returns the selected rows
+    expression, |w'| read on all of them (one call of an Elementwise
+    evaluator, else one call per center), and the squares that fail (NaN
+    fails) split again, up to max_generation.  Returns the selected rows
     (generation, index, owner), their values and the unresolved rows, each
     by owner and left end: the squares of one owner are disjoint, so that
     is depth-first order.
@@ -102,7 +134,7 @@ def _maximal_descent(wprime_abs, gen, idx, owner, thresholds, max_generation):
         unresolved.append(rows[deep])
         rows = rows[~deep]
         zs = top_half_centers(rows[:, 0], rows[:, 1])
-        v = np.fromiter(map(wprime_abs, zs.tolist()), float, count=len(zs))
+        v = _wprime_values(wprime_abs, zs)
         hit = v <= thresholds[rows[:, 2]]
         found.append(rows[hit])
         values.append(v[hit])
@@ -124,7 +156,8 @@ def _maximal_descent(wprime_abs, gen, idx, owner, thresholds, max_generation):
 class StoppingForest:
     """Generations G_0, G_1, ... of stopping squares for one |w'|."""
 
-    wprime_abs: object       # callable z -> |w'(z)|
+    # callable z -> |w'(z)|, or an Elementwise one on arrays of z
+    wprime_abs: object
     c0: float = DEFAULT_C0
     eps0: float = DEFAULT_EPS0
     max_generation: int = 20
@@ -195,8 +228,7 @@ def exhaustive_g0(wprime_abs, c0, eps0, max_generation):
     hits = []
     for n in range(2, max_generation + 1):
         idx = np.arange(1, 2 ** (n - 1) + 1)
-        zs = top_half_centers(n, idx).tolist()
-        v = np.fromiter(map(wprime_abs, zs), float, count=len(zs))
+        v = _wprime_values(wprime_abs, top_half_centers(n, idx))
         hits.extend(CarlesonSquare(n, j) for j in idx[v <= threshold].tolist())
     return maximal_squares(hits)
 
@@ -241,9 +273,10 @@ def nontangential_max_inv(wprime_abs, alpha=2.0, n_theta=512, r_max=0.999,
                           n_radii=24):
     """Sampled theta -> sup over the Stolz region of 1/|w'|.
 
-    One pass: the samples of all angles are built at once, |w'| is called
-    once per point in angle order, and each angle takes the largest
-    1/|w'| of its points (inf where |w'| is 0), floored at 0.  Returns
+    One pass: the samples of all angles are built at once, |w'| is read on
+    all of them in angle order (one call of an Elementwise evaluator, else
+    one call per point), and each angle takes the largest 1/|w'| of its
+    points (inf where |w'| is 0), floored at 0.  Returns
     (thetas, samples) as arrays; a lower bound per theta, or NaN where |w'|
     is NaN at a point of the sample, since the sup is then unknown.
     """
@@ -251,7 +284,7 @@ def nontangential_max_inv(wprime_abs, alpha=2.0, n_theta=512, r_max=0.999,
         raise ValueError("n_theta must be >= 0")
     thetas = TWO_PI * np.arange(n_theta) / n_theta
     points, starts = stolz_sample(thetas, alpha, r_max, n_radii)
-    v = np.fromiter(map(wprime_abs, points.tolist()), float, count=len(points))
+    v = _wprime_values(wprime_abs, points)
     with np.errstate(divide="ignore"):
         inv = np.where(v == 0, np.inf, 1.0 / v)
     peak = np.maximum.reduceat(inv, starts)  # NaN propagates

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discde.cli import main
-from discde.ode import make_basis
+from discde.ode import ContinuableSystem, make_basis
 from discde.schwarzian import (
     PoleError,
     QuotientMap,
@@ -239,15 +239,31 @@ def test_stopping_wprime_abs_locates_no_poles(monkeypatch, tmp_path):
     monkeypatch.setattr(QuotientMap, "__post_init__", refuse)
     wprime_abs = stopping_wprime_abs("25", 12)
     zs = [0.0, 0.3 - 0.2j, 0.9j, -0.99, 0.9996 + 0.0001j]
-    got = [wprime_abs(z) for z in zs]
+    got = wprime_abs(np.array(zs))
     assert main(["verify", "S5", "--coefficient=25",
                  "--out", str(tmp_path)]) == 0
     assert main(["stoptime", "--coefficient=25", "--c0", "1.5",
                  "--eps0", "0.2", "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
     f2 = quotient_from_coefficient("25", r_max=1 - 1.4 * 2.0**-12).basis.f2
-    assert got == [1 / abs(f2(z)) ** 2 for z in zs]
+    assert got.tolist() == (1 / np.abs(f2(np.array(zs))) ** 2).tolist()
     assert len(f2._system._expansions) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "S5"], ["stoptime", "--c0", "1.5", "--eps0", "0.2"]])
+def test_stopping_commands_make_no_point_jets(monkeypatch, tmp_path, command):
+    """S5 and stoptime read |w'| on arrays of points, never point by point."""
+    points = []
+    point_jet = ContinuableSystem._jet_point
+
+    def counted(self, index, z, order):
+        points.append(z)
+        return point_jet(self, index, z, order)
+
+    monkeypatch.setattr(ContinuableSystem, "_jet_point", counted)
+    assert main(command + ["--coefficient=25", "--out", str(tmp_path)]) == 0
+    assert points == []
 
 
 def test_pre_schwarzian_bound_koebe():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from discde.geometry import generation_squares, stolz_contains
 from discde.stopping import (
+    Elementwise,
     StoppingForest,
     StoppingNode,
     ThresholdUnderflowError,
@@ -25,6 +26,15 @@ from discde.stopping import (
 )
 
 
+def _pointwise(fn):
+    return fn
+
+
+# a test of a |w'| runs it as a plain callable on points and as an
+# evaluator on arrays
+KINDS = (_pointwise, Elementwise)
+
+
 def test_threshold_values():
     assert stopping_threshold(2.0, 0.125) == pytest.approx(2.0**-8)
     with pytest.raises(ValueError):
@@ -36,12 +46,16 @@ def test_threshold_values():
 
 
 def test_g0_trivial_cases():
-    assert build_g0(lambda z: 1.0, 2.0, 0.125).generations[0] == []
-    # constant below threshold: the two second-generation squares
     small = stopping_threshold(2.0, 0.125) / 2
-    g0 = build_g0(lambda z: small, 2.0, 0.125).generations[0]
-    assert len(g0) == 2
-    assert all(node.square.generation == 2 for node in g0)
+    for kind in KINDS:
+        assert build_g0(kind(lambda z: 1.0), 2.0, 0.125).generations[0] == []
+        # constant below threshold: the two second-generation squares
+        g0 = build_g0(kind(lambda z: small), 2.0, 0.125).generations[0]
+        assert len(g0) == 2
+        assert all(node.square.generation == 2 for node in g0)
+        # NaN fails every square
+        nan = build_g0(kind(lambda z: math.nan), 2.0, 0.125, 6)
+        assert nan.generations[0] == [] and len(nan.unresolved[0]) == 32
 
 
 def test_refine_constant_gives_empty_next():
@@ -52,12 +66,13 @@ def test_refine_constant_gives_empty_next():
 
 
 def test_exhaustive_scan_equivalence():
-    wp = lambda z: abs(1 - z) ** 4
-    for c0, eps0 in ((1.5, 0.2), (2.0, 0.125)):
-        forest = build_g0(wp, c0, eps0, max_generation=12)
-        oracle = sorted(exhaustive_g0(wp, c0, eps0, 12))
-        got = sorted(node.square for node in forest.generations[0])
-        assert got == oracle
+    for kind in KINDS:
+        wp = kind(lambda z: abs(1 - z) ** 4)
+        for c0, eps0 in ((1.5, 0.2), (2.0, 0.125)):
+            forest = build_g0(wp, c0, eps0, max_generation=12)
+            oracle = sorted(exhaustive_g0(wp, c0, eps0, 12))
+            got = sorted(node.square for node in forest.generations[0])
+            assert got == oracle
 
 
 # Square-by-square depth-first descent, the reference for the descent by
@@ -159,16 +174,40 @@ def test_descent_by_generations_matches_depth_first_reference(
     assert Counter(calls) == Counter(ref_calls)
 
 
+def _assert_one_call_per_generation(kind, calls, generations):
+    """An Elementwise evaluator was called once per dyadic generation, on
+    the 1-d complex array of its 2^(n-1) centres; a plain one per centre."""
+    sizes = [2 ** (n - 1) for n in generations]
+    if kind is Elementwise:
+        assert [(type(zs), zs.dtype, zs.shape) for zs in calls] == [
+            (np.ndarray, np.complex128, (size,)) for size in sizes]
+    else:
+        assert len(calls) == sum(sizes)
+
+
 @pytest.mark.parametrize("G", [2, 3, 18])
 def test_flat_descent_calls_every_square_once(G):
-    calls = []
-    forest = build_g0(lambda z: calls.append(z) or 1.0, max_generation=G)
-    assert len(calls) == 2**G - 2
-    assert forest.generations[0] == []
-    rows = forest.unresolved[0]
-    assert rows.shape == (2 ** (G - 1), 2)
-    assert np.array_equal(rows[:, 0], np.full(2 ** (G - 1), G))
-    assert np.array_equal(rows[:, 1], np.arange(1, 2 ** (G - 1) + 1))
+    for kind in KINDS:
+        calls = []
+        forest = build_g0(kind(lambda z: calls.append(z) or 1.0),
+                          max_generation=G)
+        _assert_one_call_per_generation(kind, calls, range(2, G + 1))
+        assert forest.generations[0] == []
+        rows = forest.unresolved[0]
+        assert rows.shape == (2 ** (G - 1), 2)
+        assert np.array_equal(rows[:, 0], np.full(2 ** (G - 1), G))
+        assert np.array_equal(rows[:, 1], np.arange(1, 2 ** (G - 1) + 1))
+
+
+def test_flat_refinement_calls_every_square_once():
+    small = stopping_threshold(2.0, 0.125) / 2
+    for kind in KINDS:
+        forest = build_g0(lambda z: small, 2.0, 0.125, max_generation=8)
+        calls = []
+        forest.wprime_abs = kind(lambda z: calls.append(z) or 1.0)
+        assert refine_generation(forest) == []
+        # the two second-generation owners descend together
+        _assert_one_call_per_generation(kind, calls, range(3, 9))
 
 
 def test_refining_an_empty_generation_appends_no_rows():
@@ -179,13 +218,15 @@ def test_refining_an_empty_generation_appends_no_rows():
 
 def test_node_at_max_generation_is_refined_without_a_call():
     small = stopping_threshold(2.0, 0.125) / 2
-    forest = build_g0(lambda z: small, 2.0, 0.125, max_generation=2)
-    calls = []
-    forest.wprime_abs = lambda z: calls.append(z) or small
-    assert refine_generation(forest) == [] and calls == []
-    assert all(node.truncated and node.decay_pass
-               for node in forest.generations[0])
-    assert forest.unresolved[-1].tolist() == [[3, 1], [3, 2], [3, 3], [3, 4]]
+    for kind in KINDS:
+        forest = build_g0(lambda z: small, 2.0, 0.125, max_generation=2)
+        calls = []
+        forest.wprime_abs = kind(lambda z: calls.append(z) or small)
+        assert refine_generation(forest) == [] and calls == []
+        assert all(node.truncated and node.decay_pass
+                   for node in forest.generations[0])
+        assert forest.unresolved[-1].tolist() == [
+            [3, 1], [3, 2], [3, 3], [3, 4]]
 
 
 @pytest.mark.parametrize("value", [1.0, stopping_threshold(2.0, 0.125) / 2])
@@ -205,21 +246,22 @@ def test_max_generation_beyond_double_precision_is_rejected():
 
 
 def test_forest_nesting_and_disjointness():
-    wp = lambda z: abs(1 - z) ** 4
-    forest = build_g0(wp, 1.5, 0.2, max_generation=14)
-    for _ in range(5):
-        refine_generation(forest)
-    for gen_idx, gen in enumerate(forest.generations[1:], 1):
-        for node in gen:
-            assert node.square.is_descendant_of(node.parent)
-            assert node.generation == gen_idx
-    for gen in forest.generations:
-        squares = [n.square for n in gen]
-        for i in range(len(squares)):
-            for j in range(i + 1, len(squares)):
-                assert squares[i] != squares[j]
-                assert not squares[i].is_descendant_of(squares[j])
-                assert not squares[j].is_descendant_of(squares[i])
+    for kind in KINDS:
+        wp = kind(lambda z: abs(1 - z) ** 4)
+        forest = build_g0(wp, 1.5, 0.2, max_generation=14)
+        for _ in range(5):
+            refine_generation(forest)
+        for gen_idx, gen in enumerate(forest.generations[1:], 1):
+            for node in gen:
+                assert node.square.is_descendant_of(node.parent)
+                assert node.generation == gen_idx
+        for gen in forest.generations:
+            squares = [n.square for n in gen]
+            for i in range(len(squares)):
+                for j in range(i + 1, len(squares)):
+                    assert squares[i] != squares[j]
+                    assert not squares[i].is_descendant_of(squares[j])
+                    assert not squares[j].is_descendant_of(squares[i])
 
 
 def test_length_decay_implies_geometric_sum():
@@ -260,28 +302,89 @@ def test_stolz_sample_matches_pointwise_reference(alpha, r_max, n_radii):
 
 
 def test_nontangential_max_constant():
-    _, samples = nontangential_max_inv(lambda z: 2.0, n_theta=16, n_radii=4)
-    assert np.allclose(samples, 0.5)
+    for kind in KINDS:
+        _, samples = nontangential_max_inv(kind(lambda z: 2.0), n_theta=16,
+                                           n_radii=4)
+        assert np.allclose(samples, 0.5)
 
 
 def test_nontangential_max_boundary_singularity():
-    wp = lambda z: abs(1 - z) ** 2
-    thetas, samples = nontangential_max_inv(wp, alpha=2.0, n_theta=64,
-                                            r_max=0.999, n_radii=24)
-    assert samples[0] == pytest.approx(1e6, rel=4.0)
-    _, wider = nontangential_max_inv(wp, alpha=3.0, n_theta=64,
-                                     r_max=0.999, n_radii=24)
-    assert np.all(wider >= samples - 1e-12)
+    for kind in KINDS:
+        wp = kind(lambda z: abs(1 - z) ** 2)
+        thetas, samples = nontangential_max_inv(wp, alpha=2.0, n_theta=64,
+                                                r_max=0.999, n_radii=24)
+        assert samples[0] == pytest.approx(1e6, rel=4.0)
+        _, wider = nontangential_max_inv(wp, alpha=3.0, n_theta=64,
+                                         r_max=0.999, n_radii=24)
+        assert np.all(wider >= samples - 1e-12)
 
 
 def test_nontangential_max_is_nan_where_a_sample_value_is_nan():
-    # |w'| is NaN on a disc about 0.99: the sup at theta = 0 is unknown,
-    # not the 1.0 of the points around it
-    wp = lambda z: math.nan if abs(z - 0.99) < 0.2 else 1.0
-    thetas, samples = nontangential_max_inv(wp, n_theta=64, n_radii=8)
-    assert math.isnan(samples[0])
-    far = np.abs(np.exp(1j * thetas) - 1) > 0.5
-    assert np.all(samples[far] == 1.0)
+    for kind in KINDS:
+        # |w'| is NaN on a disc about 0.99: the sup at theta = 0 is unknown,
+        # not the 1.0 of the points around it
+        wp = kind(lambda z: np.where(abs(z - 0.99) < 0.2, math.nan, 1.0))
+        thetas, samples = nontangential_max_inv(wp, n_theta=64, n_radii=8)
+        assert math.isnan(samples[0])
+        far = np.abs(np.exp(1j * thetas) - 1) > 0.5
+        assert np.all(samples[far] == 1.0)
+
+
+def test_nontangential_max_is_inf_where_a_sample_value_is_zero():
+    for kind in KINDS:
+        wp = kind(lambda z: np.where(abs(z + 0.99) < 0.2, 0.0, 1.0))
+        thetas, samples = nontangential_max_inv(wp, n_theta=64, n_radii=8)
+        assert samples[32] == math.inf  # theta = pi
+        far = np.abs(np.exp(1j * thetas) + 1) > 0.5
+        assert np.all(samples[far] == 1.0)
+
+
+def _quartic(z):
+    """|1 - z|^4 from real products and sums, which a point and an array
+    round alike; NaN on a disc about 0.8 and 0 on a disc about 0.9i."""
+    d, p, q = 1 - z, z - 0.8, z - 0.9j
+    s = d.real * d.real + d.imag * d.imag
+    return np.where(p.real * p.real + p.imag * p.imag < 0.01, math.nan,
+                    np.where(q.real * q.real + q.imag * q.imag < 0.01, 0.0,
+                             s * s))
+
+
+@pytest.mark.parametrize("c0, eps0", [(1.5, 0.2), (2.0, 0.125)])
+def test_elementwise_evaluator_gives_the_pointwise_bits(c0, eps0):
+    points, arrays = [], []
+    pointwise = lambda z: points.append(z) or _quartic(z)
+    elementwise = Elementwise(lambda zs: arrays.append(zs) or _quartic(zs))
+
+    def same_points():  # the arrays hold the points in call order
+        assert all(zs.ndim == 1 and zs.dtype == np.complex128
+                   for zs in arrays)
+        assert np.concatenate(arrays).tolist() == points
+        n = len(arrays)
+        points.clear()
+        arrays.clear()
+        return n
+
+    forests = [build_g0(wp, c0, eps0, max_generation=14)
+               for wp in (pointwise, elementwise)]
+    assert same_points() == 13  # squares far from 1 reach generation 14
+    for _ in range(4):
+        for forest in forests:
+            refine_generation(forest)
+        same_points()
+    want, got = ([[_node_key(node) for node in gen]
+                  for gen in forest.generations] for forest in forests)
+    assert got == want and len(want[0]) > 0
+    assert ([rows.tolist() for rows in forests[0].unresolved]
+            == [rows.tolist() for rows in forests[1].unresolved])
+    want, got = (exhaustive_g0(wp, c0, eps0, 10)
+                 for wp in (pointwise, elementwise))
+    assert got == want
+    assert same_points() == 9  # generations 2..10
+    want, got = (nontangential_max_inv(wp, n_theta=64, n_radii=24)[1]
+                 for wp in (pointwise, elementwise))
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() and np.isinf(got).any()
+    assert same_points() == 1
 
 
 # Angle-by-angle maximal function, the reference for the single sweep: one
