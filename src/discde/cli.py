@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,28 +68,21 @@ def _build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=("json", "csv"), dest="fmt")
 
-    for name in ("solve", "zeros", "norms", "quotient", "stoptime", "report"):
-        common(sub.add_parser(name))
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("suite", choices=SUITE_IDS)
-    common(p_verify)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        if name == "verify":
+            p.add_argument("suite", choices=SUITE_IDS)
+        common(p)
     return parser
 
 
 def _scenario_from_args(args):
-    if args.config:
-        scenario = Scenario.from_config(args.config)
-    else:
-        scenario = Scenario()
-    overrides = {}
-    for key in ("coefficient", "rmax", "tol", "max_generation",
-                "c0", "eps0", "alpha", "out", "fmt"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario
+    """The config file's scenario, or the default one, with every
+    ``Scenario`` field that a flag sets replaced by the flag's value."""
+    scenario = Scenario.from_config(args.config) if args.config else Scenario()
+    return replace(scenario, **{f.name: getattr(args, f.name)
+                                for f in fields(Scenario)
+                                if getattr(args, f.name, None) is not None})
 
 
 def _out_path(scenario, name):
@@ -235,9 +228,10 @@ def cmd_report(scenario):
     return 0 if ok else 1
 
 
+# in the order of the usage text
 _COMMANDS = {"solve": cmd_solve, "zeros": cmd_zeros, "norms": cmd_norms,
              "quotient": cmd_quotient, "stoptime": cmd_stoptime,
-             "verify": cmd_verify, "report": cmd_report}
+             "report": cmd_report, "verify": cmd_verify}
 
 
 def main(argv=None):
@@ -250,13 +244,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         scenario = _scenario_from_args(args)
-    except (UsageError, ScenarioError, ExprError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    extra = (args.suite,) if args.command == "verify" else ()
-    try:
+        extra = (args.suite,) if args.command == "verify" else ()
         return _COMMANDS[args.command](scenario, *extra)
-    except (ScenarioError, ExprError, OSError) as exc:
+    except (UsageError, ScenarioError, ExprError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContinuationError, ZeroLocationError) as exc:

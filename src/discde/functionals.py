@@ -29,9 +29,6 @@ class SupremumReport:
     argmax: complex
     per_radius: list  # (radius, max over the circle)
 
-    def __float__(self):
-        return float(self.value)
-
 
 # ---------------------------------------------------------------------------
 # circle means
@@ -126,11 +123,6 @@ def growth_norm(A, alpha, radii=None, n_theta=256, refine=True):
         scale = max((1 - abs(best_z)) / 2, TWO_PI * abs(best_z) / n_theta)
         best, best_z = _local_refine(on_points, best, best_z, scale)
     return SupremumReport(best, best_z, per_radius)
-
-
-def bloch_seminorm(fprime, radii=None, n_theta=256, refine=True):
-    """Lower bound for sup (1 - |z|^2) |f'(z)|."""
-    return growth_norm(fprime, 1.0, radii=radii, n_theta=n_theta, refine=refine)
 
 
 def normality_sigma(f_jet, radii=None, n_theta=64):

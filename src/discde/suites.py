@@ -20,7 +20,6 @@ from . import expr
 from .geometry import maximal_squares, rho_p, unit_roots
 from .ode import mobius_transfer
 from .functionals import (
-    bloch_seminorm,
     bmoa_seminorm,
     default_sup_radii,
     fp_norm,
@@ -173,9 +172,6 @@ class Check:
     tolerance: float = None
     passed: bool = None        # None = empirical/data-only record
 
-    def is_failure(self):
-        return self.passed is False
-
 
 @dataclass
 class SuiteReport:
@@ -184,13 +180,13 @@ class SuiteReport:
     environment: dict = field(default_factory=dict)
 
     def add(self, name, anchor, values, tolerance=None, passed=None):
-        # numpy bools are not False by identity, so coerce before is_failure
+        # numpy bools are not False by identity, so coerce before ok reads them
         passed = None if passed is None else bool(passed)
         self.checks.append(Check(name, anchor, dict(values), tolerance, passed))
 
     @property
     def ok(self):
-        return not any(c.is_failure() for c in self.checks)
+        return not any(c.passed is False for c in self.checks)
 
     def to_dict(self):
         return {
@@ -380,8 +376,8 @@ def run_s3(scenario):
         {"seminorm": bmoa.value, "argmax": complex(bmoa.argmax)},
         passed=math.isfinite(bmoa.value),
     )
-    bloch = bloch_seminorm(dlog_f2, radii=default_sup_radii(depth=4),
-                           n_theta=64, refine=False)
+    bloch = growth_norm(dlog_f2, 1.0, radii=default_sup_radii(depth=4),
+                        n_theta=64, refine=False)
     report.add(
         "log-f-bloch",
         "non-vanishing solutions satisfy log f in the Bloch space",

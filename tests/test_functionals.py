@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from discde.functionals import (
-    bloch_seminorm,
     bmoa_seminorm,
     carleson_constant,
     circle_mean,
@@ -123,7 +122,7 @@ def test_measure_of_square_consistency():
 
 def test_bloch_seminorm_of_identity():
     # f(z) = z: sup (1-|z|^2)*1 = 1
-    rep = bloch_seminorm(lambda zs: np.ones_like(np.asarray(zs)))
+    rep = growth_norm(lambda zs: np.ones_like(np.asarray(zs)), 1.0)
     assert rep.value == pytest.approx(1.0)
 
 
@@ -197,7 +196,7 @@ def reference_sweep(on_points, radii, n_theta):
 def test_sup_sweeps_make_one_call_on_a_flat_grid():
     a = Recording(lambda zs: 0.5 / (1 - zs))
     growth_norm(a, 2.0, refine=False)
-    bloch_seminorm(a, refine=False)
+    growth_norm(a, 1.0, refine=False)
     f_jet = Recording(lambda zs: (np.sin(zs), np.cos(zs)))
     normality_sigma(f_jet)
     grid = len(default_sup_radii()) * 256
