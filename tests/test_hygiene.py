@@ -1,10 +1,11 @@
 """Source hygiene: no unused module-level imports in the package, no
-import inside a function or class, no private module-level helper that
-nothing references, no public function or class that nothing references
-unless the package exports it, no defaulted parameter that no call passes,
-every name the package exports resolves, and every function and method the
-benchmark tracer (perfbench/tracer.py) wraps still exists to be wrapped,
-with the jet argument it counts points from still in its place."""
+import inside a function or class, no private module-level helper or
+private method that nothing references, no public function or class that
+nothing references unless the package exports it, no defaulted parameter
+that no call passes, every name the package exports resolves, and every
+function and method the benchmark tracer (perfbench/tracer.py) wraps still
+exists to be wrapped, with the jet argument it counts points from still in
+its place."""
 
 import ast
 import importlib
@@ -133,6 +134,33 @@ def test_no_unreferenced_private_helpers():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced(trees, _private_definitions) == []
+
+
+def _private_methods(tree):
+    """(class name, definition) of every method named _x (one leading
+    underscore) of a module-level class of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and member.name.startswith("_")
+                        and not member.name.startswith("__")):
+                    yield node.name, member
+
+
+def test_no_unreferenced_private_methods():
+    """A private method must be referenced, by attribute or by name,
+    somewhere in the package outside its own body."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    totals = sum((Counter(_references(tree)) for tree in trees.values()),
+                 Counter())
+    unreferenced = [f"{name}:{method.lineno} {cls}.{method.name}"
+                    for name, tree in trees.items()
+                    for cls, method in _private_methods(tree)
+                    if totals[method.name]
+                    == Counter(_references(method))[method.name]]
+    assert unreferenced == []
 
 
 def test_no_unreferenced_public_definitions():

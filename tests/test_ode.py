@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import cache
 from unittest.mock import patch
 
 import numpy as np
@@ -435,3 +436,40 @@ def test_one_element_array_beyond_r_max_raises_the_point_message(z):
         system.jet(0, np.full((1, 1), z), 1)
     assert str(from_one.value) == str(from_point.value)
     assert len(system._expansions) == 1
+
+
+# Coefficients inside the paper's hypotheses, each with its r_max and the
+# argument of its pole.  The 13 query points are the origin and, at 0.7,
+# 0.9 and 0.98 of r_max, the points at angles +-0.03 and +-2.1 from the
+# pole's ray.  The Koebe coefficient stays out: its continued values
+# depend on the order of the queries (2.7e-6 relative on these points
+# with r_max 0.99).
+IN_HYPOTHESES = {"0.5/(1-z)": (0.999, 0.0),
+                 "2/(1-(0.7316+0.6061*i)*z)^2": (0.97, -0.6917),
+                 "-0.25/(1-z)^2": (0.999, 0.0)}
+
+
+def _query_points(coeff):
+    r_max, toward = IN_HYPOTHESES[coeff]
+    return [0j] + [s * r_max * cmath.exp(1j * (toward + t))
+                   for s in (0.7, 0.9, 0.98) for t in (0.03, -0.03, 2.1, -2.1)]
+
+
+@cache
+def _fresh_jets(coeff):
+    """(f1, f1') at each query point, each from a basis of its own."""
+    r_max = IN_HYPOTHESES[coeff][0]
+    return [make_basis(coeff, r_max=r_max).jet(1, z, 1)
+            for z in _query_points(coeff)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeff=st.sampled_from(sorted(IN_HYPOTHESES)),
+       order=st.permutations(range(13)))
+def test_values_do_not_depend_on_the_order_of_queries(coeff, order):
+    points, fresh = _query_points(coeff), _fresh_jets(coeff)
+    shared = make_basis(coeff, r_max=IN_HYPOTHESES[coeff][0])
+    for k in order:
+        v, d = shared.jet(1, points[k], 1)
+        fv, fd = fresh[k]
+        assert max(abs(v - fv), abs(d - fd)) <= 1e-13 * max(abs(fv), abs(fd))

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from discde.cli import main
+from discde.cli import _build_parser, _scenario_from_args, main
 from discde.suites import (
     Scenario,
     ScenarioError,
@@ -145,6 +146,24 @@ def test_cli_stoptime(tmp_path):
 def test_cli_usage_error():
     assert main(["definitely-not-a-command"]) == 2
     assert main(["verify", "S1", "--coefficient", "1 +"]) == 2
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("--coefficient", "25", "coefficient", "25"),
+    ("--rmax", "0.9", "rmax", 0.9),
+    ("--tol", "1e-6", "tol", 1e-6),
+    ("--max-generation", "8", "max_generation", 8),
+    ("--c0", "1.5", "c0", 1.5),
+    ("--eps0", "0.2", "eps0", 0.2),
+    ("--alpha", "3", "alpha", 3.0),
+    ("--out", "results", "out", "results"),
+    ("--format", "csv", "fmt", "csv"),
+])
+def test_each_flag_alone_sets_its_scenario_field(flag, value, field, expected):
+    args = _build_parser().parse_args(["solve", flag, value])
+    scenario = _scenario_from_args(args)
+    assert getattr(Scenario(), field) != expected
+    assert scenario == replace(Scenario(), **{field: expected})
 
 
 def test_cli_solve(tmp_path):
