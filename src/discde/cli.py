@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -50,6 +51,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="discde",
                      description="solvers and verifiers for f'' + A f = 0 "

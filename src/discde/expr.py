@@ -12,7 +12,9 @@ finite differences.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +28,6 @@ from .series import (
 )
 
 MAX_JET_ORDER = 4
-
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
 class ExprError(ValueError):
@@ -100,161 +100,89 @@ class Fun(Node):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_OPS = set("+-*/^()")
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ParseError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.sum_()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return node
-
-    def sum_(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            tok = self.advance()
-            exponent = self.exponent()
-            return Pow(base, exponent)
-        return base
-
-    def exponent(self):
-        # right-associative; integer literal, possibly signed or parenthesized
-        sign = 1
-        while self.peek()[0] in ("-", "+"):
-            if self.advance()[0] == "-":
-                sign = -sign
-        tok = self.peek()
-        if tok[0] == "(":
-            self.advance()
-            value = sign * self.exponent()
-            self.expect(")")
-            return value
-        if tok[0] != "num":
-            raise ParseError("exponent must be an integer", tok[2])
-        self.advance()
-        if tok[1] != int(tok[1]):
-            raise ParseError("exponent must be an integer", tok[2])
-        value = sign * int(tok[1])
-        if self.peek()[0] == "^":
-            raise ParseError("nested exponent requires parentheses", self.peek()[2])
-        return value
-
-    def atom(self):
-        tok = self.advance()
-        if tok[0] == "num":
-            return Const(complex(tok[1]))
-        if tok[0] == "name":
-            name = tok[1]
-            if name == "z":
-                return Var()
-            if name in ("i", "j", "I"):
-                return Const(1j)
-            if name == "pi":
-                return Const(complex(math.pi))
-            if name == "e":
-                return Const(complex(math.e))
-            if name in FUNCTIONS:
-                self.expect("(")
-                arg = self.sum_()
-                self.expect(")")
-                return Fun(name, arg)
-            raise ParseError(f"unknown identifier {name!r}", tok[2])
-        if tok[0] == "(":
-            node = self.sum_()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+# a number as the grammar reads it: digits and dots, then an optional
+# exponent; float() decides whether it is one
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+_NAMES = {"z": Var(), "i": Const(1j), "j": Const(1j), "I": Const(1j),
+          "pi": Const(complex(math.pi)), "e": Const(complex(math.e))}
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
 
 
 def parse_expr(text):
-    """Parse expression text into an immutable AST."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse expression text into an immutable AST.
+
+    Python's expression parser reads the text after rewrites that keep
+    every position: white space becomes a blank, a number literal becomes
+    as many underscores as it has characters (so ``007`` and ``1e400`` are
+    numbers, ``0x1`` and ``1j`` are not), and then ``^`` becomes ``**``.
+    Only the nodes of the module's grammar become a tree.  Anything else,
+    and any ``_``, ``#``, ``,``, backslash or ``**`` in the text, is a
+    ParseError at its position in ``text``.
+    """
+    numbers = {}
+
+    def mask(match):
+        try:
+            numbers[match.span()] = Const(complex(float(match.group())))
+        except ValueError:
+            raise ParseError(f"bad number {match.group()!r}",
+                             match.start()) from None
+        return "_" * len(match.group())
+
+    masked = _NUMBER.sub(mask, re.sub(r"\s", " ", text))
+    found = re.search(r"[_#,\\]|\*\*", text) or re.search(r"[^ -~]", masked)
+    if found:
+        raise ParseError(f"unexpected {found.group()!r}", found.start())
+    lead = len(masked) - len(masked.lstrip())
+    src = masked.lstrip().replace("^", "**")
+
+    def at(offset):  # the position in text of an offset in src
+        return lead + offset - src.count("**", 0, offset)
+
+    def span(node):
+        return at(node.col_offset), at(node.end_col_offset)
+
+    def fail(node, message="unsupported"):
+        start, end = span(node)
+        raise ParseError(f"{message} {text[start:end]!r}", start)
+
+    def exponent(node):  # an integer literal, signed or in parentheses
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+            return _SIGNS[type(node.op)] * exponent(node.operand)
+        leaf = numbers.get(span(node))
+        if leaf is None or not leaf.value.real.is_integer():
+            fail(node, "exponent must be an integer, not")
+        return int(leaf.value.real)
+
+    def convert(node):
+        if isinstance(node, ast.Name):  # fail() raises
+            return _NAMES.get(node.id) or numbers.get(span(node)) or fail(node)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], convert(node.left),
+                         convert(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return Pow(convert(node.left), exponent(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(convert(node.operand))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            return convert(node.operand)
+        # a parenthesized function name starts after its call does
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords
+                and node.func.col_offset == node.col_offset):
+            return Fun(node.func.id, convert(node.args[0]))
+        fail(node)
+
+    try:
+        return convert(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        start = at(exc.offset - 1) if exc.offset else len(text)
+        raise ParseError(f"cannot parse {text[start:start + 1] or text!r}",
+                         start) from None
+    except RecursionError:
+        raise ParseError(f"nested too deeply from {text[:8]!r}", 0) from None
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +296,16 @@ def _series_sqrt(u, n, z):
     return g
 
 
+# name -> (numpy function, Taylor rule (coefficients, n, center) -> coefficients)
+_FUNCTIONS = {
+    "exp": (np.exp, _series_exp),
+    "log": (np.log, _series_log),
+    "sin": (np.sin, lambda u, n, z: _series_sincos(u, n, z)[0]),
+    "cos": (np.cos, lambda u, n, z: _series_sincos(u, n, z)[1]),
+    "sqrt": (np.sqrt, _series_sqrt),
+}
+
+
 def _series_pow(u, m, n, z):
     if m == 0:
         g = np.zeros(n, dtype=complex)
@@ -426,18 +364,8 @@ def series_coefficients(node, center, n):
         u = series_coefficients(node.base, center, n)
         return _series_pow(u, node.exponent, n, center)
     if isinstance(node, Fun):
-        u = series_coefficients(node.arg, center, n)
-        if node.name == "exp":
-            return _series_exp(u, n, center)
-        if node.name == "log":
-            return _series_log(u, n, center)
-        if node.name == "sin":
-            return _series_sincos(u, n, center)[0]
-        if node.name == "cos":
-            return _series_sincos(u, n, center)[1]
-        if node.name == "sqrt":
-            return _series_sqrt(u, n, center)
-        raise TypeError(f"unknown function {node.name!r}")
+        rule = _FUNCTIONS[node.name][1]
+        return rule(series_coefficients(node.arg, center, n), n, center)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -455,7 +383,7 @@ def evaluate(node, z):
 
 
 def taylor_at(node, center, degree):
-    """Taylor expansion as a PowerSeries; trust radius certified from the tail."""
+    """Taylor expansion as a PowerSeries; trust radius estimated from the tail."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if degree > MAX_DEGREE:
@@ -492,7 +420,5 @@ def eval_array(node, zs):
     if isinstance(node, Pow):
         return eval_array(node.base, zs) ** node.exponent
     if isinstance(node, Fun):
-        u = eval_array(node.arg, zs)
-        return {"exp": np.exp, "log": np.log, "sin": np.sin,
-                "cos": np.cos, "sqrt": np.sqrt}[node.name](u)
+        return _FUNCTIONS[node.name][0](eval_array(node.arg, zs))
     raise TypeError(f"not an AST node: {node!r}")

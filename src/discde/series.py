@@ -1,4 +1,4 @@
-"""Truncated power series with a certified trust radius.
+"""Truncated power series with an estimated trust radius.
 
 A :class:`PowerSeries` stores Taylor coefficients about a center together
 with a radius inside which the truncation tail is estimated to stay below

@@ -1,11 +1,15 @@
+import ast
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from discde import expr
+from discde.cli import main
+from discde.expr import BinOp, Const, Fun, Neg, Pow, Var
 
 
 def test_parse_arithmetic():
@@ -20,13 +24,96 @@ def test_parse_functions_and_eval():
 
 
 def test_parse_error_position():
-    with pytest.raises(expr.ParseError):
+    with pytest.raises(expr.ParseError) as info:
         expr.parse_expr("1 + * z")
+    assert info.value.position == 4
+
+
+Z = Var()
+
+
+def _c(x):
+    return Const(complex(x))
+
+
+_ACCEPTED = {
+    "1 + 2*z - z^2": BinOp("-", BinOp("+", _c(1), BinOp("*", _c(2), Z)),
+                           Pow(Z, 2)),
+    "z-1-2": BinOp("-", BinOp("-", Z, _c(1)), _c(2)),
+    "-z^2": Neg(Pow(Z, 2)),
+    "z^-2": Pow(Z, -2),
+    "z^(-2)": Pow(Z, -2),
+    "z^-(2)": Pow(Z, -2),
+    "z^--2": Pow(Z, 2),
+    "z^+-+2": Pow(Z, -2),
+    "z^2.0": Pow(Z, 2),
+    "z^1e1": Pow(Z, 10),
+    "(z^2)^3": Pow(Pow(Z, 2), 3),
+    "007": _c(7),
+    "5.": _c(5),
+    ".5": _c(0.5),
+    "1e400": _c(math.inf),
+    "\u0663*z": BinOp("*", _c(3), Z),  # ARABIC-INDIC DIGIT THREE
+    "z\t+\tz": BinOp("+", Z, Z),
+    "z\n+\nz": BinOp("+", Z, Z),
+    "z\xa0*\xa0z": BinOp("*", Z, Z),  # no-break space
+    "z\u2003-\u2003z": BinOp("-", Z, Z),  # em space
+    "sin (z)": Fun("sin", Z),
+    " exp(i*pi) / e ": BinOp(
+        "/", Fun("exp", BinOp("*", _c(1j), _c(math.pi))), _c(math.e)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_ACCEPTED))
+def test_parse_builds_the_expected_tree(text):
+    # repr tells an int exponent from a float one
+    assert repr(expr.parse_expr(text)) == repr(_ACCEPTED[text])
+
+
+_DEEP_PARENS = "(" * 3000 + "z" + ")" * 3000
+_DEEP_MINUS = "-" * 3000 + "z"
+_REJECTED = [
+    "z**2", "1_000", "0x1", "1j", "2z", "z(2)", "exp(z,1)", "exp()", "z^2^3",
+    "z^0.5", "z^(1+1)", "z^1e400", "e^z", "1//2", "z%2", "[z]", "'z'",
+    "z if z else 1", "lambda: z", "z.real", "1..2", "\xb2", "\xe9", "pi(z)",
+    "", "   ", "\x00", "'\\d'", "z # 1", _DEEP_PARENS, _DEEP_MINUS,
+]
+
+
+def _quoted(message):
+    """The Python string literals that a message quotes."""
+    found = re.findall(r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\"", message)
+    return [ast.literal_eval(q) for q in found]
+
+
+@pytest.mark.parametrize("text", _REJECTED, ids=lambda t: repr(t[:12]))
+def test_parse_rejects_with_a_one_line_message_quoting_the_text(text):
+    with pytest.raises(expr.ParseError) as info:
+        expr.parse_expr(text)
+    message = str(info.value)
+    assert "\n" not in message
+    quoted = _quoted(message)
+    assert quoted and all(q in text for q in quoted)
+    assert quoted[0] or not text
+    assert 0 <= info.value.position <= len(text)
+
+
+@pytest.mark.parametrize("coefficient", ["z^1e400", _DEEP_PARENS, _DEEP_MINUS],
+                         ids=["overflow", "parens", "minus"])
+def test_cli_rejects_a_coefficient_with_one_error_line(coefficient, tmp_path,
+                                                        capsys):
+    code = main(["norms", f"--coefficient={coefficient}", "--out",
+                 str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_integer_exponent_required():
-    with pytest.raises(expr.ParseError):
+    with pytest.raises(expr.ParseError) as info:
         expr.parse_expr("z^0.5")
+    assert info.value.position == 2
 
 
 def test_negative_exponent():
